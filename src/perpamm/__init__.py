@@ -9,4 +9,5 @@ machine), ``scenario`` (event-driven replay harness), ``figures`` and
 
 __version__ = "0.1.0"
 
-from .kernels import BACKEND as KERNEL_BACKEND  # noqa: F401
+# Recorded by perfbench with every invocation; curve math is pure Python only.
+KERNEL_BACKEND = "python"

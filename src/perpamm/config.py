@@ -44,7 +44,10 @@ def _coeff(obj: dict, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise ConfigError(f"{where}.{key} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}.{key} is too large for a float") from None
 
 
 def _units(obj: dict, key: str, where: str) -> int:

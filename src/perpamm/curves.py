@@ -8,20 +8,19 @@ Pure functions over three parameter sets:
   to the side with the larger open interest.
 
 Utilization, skew, deviation and fee rates are all expressed on a 0-100
-percent scale; fee rates are annualized. Raw math runs in binary64 through
-the selected kernel backend; every value returned here is quantized to nine
-fractional decimal digits (round-half-even) so downstream state and reports
-are platform-stable.
+percent scale; fee rates are annualized. Raw math runs in binary64; every
+value returned here is quantized to nine fractional decimal digits
+(round-half-even) so downstream state and reports are platform-stable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
-from . import kernels
 from .errors import DomainError, QuoteError
-from .money import dec9, dec9_to_units, quantize9
+from .money import dec9, dec9_to_units, quantize9, units_to_decimal
 
 
 @dataclass(frozen=True)
@@ -32,6 +31,8 @@ class DeviationParams:
     c_d: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.k_delta) and math.isfinite(self.c_d)):
+            raise DomainError("deviation parameters must be finite")
         if self.k_delta < 0 or self.c_d < 0:
             raise DomainError("deviation parameters must be non-negative")
 
@@ -44,6 +45,8 @@ class BaseFeeParams:
     c_b: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.k_b) and math.isfinite(self.c_b)):
+            raise DomainError("base fee parameters must be finite")
         if self.k_b < 0 or self.c_b < 0:
             raise DomainError("base fee parameters must be non-negative")
 
@@ -56,6 +59,8 @@ class DynamicFeeParams:
     steepness: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.m_max) and math.isfinite(self.steepness)):
+            raise DomainError("dynamic fee parameters must be finite")
         if self.m_max < 0:
             raise DomainError("maximum dynamic fee must be non-negative")
         if self.steepness <= 0:
@@ -70,20 +75,21 @@ def _check_utilization(u: float) -> None:
 def eval_deviation(u: float, p: DeviationParams) -> float:
     """Price deviation in percent at utilization u (0-100)."""
     _check_utilization(u)
-    return quantize9(kernels.deviation(u, p.k_delta, p.c_d))
+    return quantize9(p.k_delta * u * u + p.c_d)
 
 
 def eval_base_fee(u: float, p: BaseFeeParams) -> float:
     """Annualized base borrowing fee in percent at utilization u (0-100)."""
     _check_utilization(u)
-    return quantize9(kernels.base_fee(u, p.k_b, p.c_b))
+    return quantize9(p.k_b * u * u + p.c_b)
 
 
 def eval_dynamic_fee(skew_pct: float, p: DynamicFeeParams) -> float:
     """Annualized dynamic borrowing fee in percent at skew (percent, >= 0)."""
     if skew_pct < 0:
         raise DomainError(f"skew {skew_pct} must be non-negative")
-    return quantize9(kernels.dynamic_fee(skew_pct, p.m_max, p.steepness))
+    e = math.exp(-p.steepness * skew_pct)
+    return quantize9(p.m_max * (1.0 - e) / (1.0 + e))
 
 
 def compute_skew(long_oi, short_oi, pool_value) -> float:
@@ -92,7 +98,7 @@ def compute_skew(long_oi, short_oi, pool_value) -> float:
         raise DomainError("pool value must be positive")
     if long_oi < 0 or short_oi < 0:
         raise DomainError("open interest must be non-negative")
-    return quantize9(kernels.skew(float(long_oi), float(short_oi), float(pool_value)))
+    return quantize9(100.0 * abs(float(long_oi) - float(short_oi)) / float(pool_value))
 
 
 # -- Quoting -----------------------------------------------------------------
@@ -121,8 +127,6 @@ def quote_prices(oracle_price: float, u: float, p: DeviationParams) -> tuple[flo
 
 def quote_prices_units(price_units: int, u: float, p: DeviationParams) -> tuple[int, int]:
     """(long, short) quotes for a price in integer base units."""
-    from .money import units_to_decimal
-
     long_q, short_q = quote_price_decimals(units_to_decimal(price_units), u, p)
     return dec9_to_units(long_q), dec9_to_units(short_q)
 

@@ -22,7 +22,6 @@ import enum
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from . import kernels
 from .curves import (
     BaseFeeParams,
     DeviationParams,
@@ -160,7 +159,7 @@ def utilization_pct(pool: PoolState) -> float:
     """Utilization 100*reserved/pool_value in percent, 9-digit quantized."""
     if pool.pool_value <= 0:
         raise DomainError("pool value must be positive")
-    return quantize9(kernels.utilization(float(pool.reserved), float(pool.pool_value)))
+    return quantize9(100.0 * float(pool.reserved) / float(pool.pool_value))
 
 
 def accrue_fees(pool: PoolState, cfg: MarketConfig, now: int) -> PoolState:
@@ -350,12 +349,11 @@ class Engine:
     def lp_redeem(self, account: str, shares: int, now: int) -> int:
         with self._atomic():
             self._accrue(now)
-            if self.vault.total_shares > 0 and 0 < shares <= self.vault.balances.get(account, 0):
-                assets_out = shares * self.vault.total_assets // self.vault.total_shares
-                if self.vault.total_assets - assets_out < self.reserved:
-                    raise InsufficientLiquidity(
-                        "redeem would leave the pool below reserved liquidity")
-            return self.vault.redeem(account, shares)
+            assets = self.vault.redeem(account, shares)
+            if self.vault.total_assets < self.reserved:   # _atomic undoes the redeem
+                raise InsufficientLiquidity(
+                    "redeem would leave the pool below reserved liquidity")
+            return assets
 
     # -- order lifecycle ---------------------------------------------------------------
 

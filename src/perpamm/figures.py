@@ -27,6 +27,7 @@ from .curves import (
     quote_price_decimals,
 )
 from .errors import InvalidGrid
+from .money import format9
 
 FIGURE_KINDS = ("deviation_price", "deviation_pct", "base_fee", "dynamic_fee")
 
@@ -46,6 +47,8 @@ class Grid:
             lo, hi, step = (Decimal(p) for p in parts)
         except InvalidOperation:
             raise InvalidGrid(f"grid bounds must be decimals: {text!r}") from None
+        if not all(d.is_finite() for d in (lo, hi, step)):
+            raise InvalidGrid(f"grid bounds must be finite: {text!r}")
         if step <= 0:
             raise InvalidGrid("grid step must be positive")
         if hi < lo:
@@ -67,12 +70,6 @@ class FigureTable:
 
 def _fmt_point(point: Decimal) -> str:
     return format(point, "f")
-
-
-def _fmt9(value) -> str:
-    from .money import format9
-
-    return format9(value)
 
 
 def emit_figure_data(kind: str, params: dict, grid: Grid) -> FigureTable:
@@ -105,18 +102,17 @@ def _one_or_more(params: dict, key: str) -> list[Decimal]:
 
 
 def _deviation_price(params: dict, grid: Grid) -> FigureTable:
-    price = params.get("price")
-    if price is None or price <= 0:
-        raise InvalidGrid("deviation_price needs a positive oracle price")
+    price = Decimal(params.get("price", 0))
+    if not price.is_finite() or price <= 0:
+        raise InvalidGrid("deviation_price needs a positive, finite oracle price")
     k_deltas = _one_or_more(params, "k_delta")
     if len(k_deltas) != 1:
         raise InvalidGrid("deviation_price takes exactly one k_delta")
     p = DeviationParams(k_delta=float(k_deltas[0]), c_d=float(params.get("c_d", 0)))
-    price = Decimal(price)
     rows = []
     for point in grid.points():
         long_q, short_q = quote_price_decimals(price, float(point), p)
-        rows.append([_fmt_point(point), _fmt9(price), _fmt9(long_q), _fmt9(short_q)])
+        rows.append([_fmt_point(point), format9(price), format9(long_q), format9(short_q)])
     return FigureTable(
         header=["utilization", "oracle_price", "deviated_price_long", "deviated_price_short"],
         rows=rows)
@@ -126,7 +122,7 @@ def _deviation_pct(params: dict, grid: Grid) -> FigureTable:
     c_d = float(params.get("c_d", 0))
     series = [(f"deviation_kd_{kd}", DeviationParams(k_delta=float(kd), c_d=c_d))
               for kd in _one_or_more(params, "k_delta")]
-    rows = [[_fmt_point(point)] + [_fmt9(eval_deviation(float(point), p))
+    rows = [[_fmt_point(point)] + [format9(eval_deviation(float(point), p))
                                    for _, p in series]
             for point in grid.points()]
     return FigureTable(header=["utilization"] + [name for name, _ in series], rows=rows)
@@ -136,7 +132,7 @@ def _base_fee(params: dict, grid: Grid) -> FigureTable:
     c_b = float(params.get("c_b", 0))
     series = [(f"base_fee_kb_{kb}", BaseFeeParams(k_b=float(kb), c_b=c_b))
               for kb in _one_or_more(params, "k_b")]
-    rows = [[_fmt_point(point)] + [_fmt9(eval_base_fee(float(point), p))
+    rows = [[_fmt_point(point)] + [format9(eval_base_fee(float(point), p))
                                    for _, p in series]
             for point in grid.points()]
     return FigureTable(header=["utilization"] + [name for name, _ in series], rows=rows)
@@ -146,7 +142,7 @@ def _dynamic_fee(params: dict, grid: Grid) -> FigureTable:
     m_max = float(params.get("m_max", 0))
     series = [(f"dynamic_fee_k_{k}", DynamicFeeParams(m_max=m_max, steepness=float(k)))
               for k in _one_or_more(params, "steepness")]
-    rows = [[_fmt_point(point)] + [_fmt9(eval_dynamic_fee(float(point), p))
+    rows = [[_fmt_point(point)] + [format9(eval_dynamic_fee(float(point), p))
                                    for _, p in series]
             for point in grid.points()]
     return FigureTable(header=["market_skew"] + [name for name, _ in series], rows=rows)

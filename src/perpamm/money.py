@@ -15,7 +15,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 UNIT_SCALE = 10**6          # base units per whole money/percent/ratio unit
 SECONDS_PER_YEAR = 31_536_000   # 365-day year for annualized-rate conversion
@@ -73,10 +73,6 @@ def units_to_decimal(units: int) -> Decimal:
     return _CTX.divide(Decimal(units), UNIT_SCALE)
 
 
-def units_to_float(units: int) -> float:
-    return units / UNIT_SCALE
-
-
 def format_units(units: int) -> str:
     """Fixed-point string with exactly six fractional digits."""
     return f"{units_to_decimal(units):.6f}"
@@ -86,11 +82,12 @@ def format_units(units: int) -> str:
 
 def dec9(x) -> Decimal:
     """Value quantized to 9 fractional digits, round-half-even, as Decimal."""
-    if isinstance(x, float):
+    if not isinstance(x, Decimal):
         x = Decimal(x)
-    elif not isinstance(x, Decimal):
-        x = Decimal(x)
-    return x.quantize(_NINE, rounding=decimal.ROUND_HALF_EVEN, context=_CTX)
+    try:
+        return x.quantize(_NINE, rounding=decimal.ROUND_HALF_EVEN, context=_CTX)
+    except decimal.InvalidOperation:
+        raise DomainError(f"{x:.6g} has no 9-digit fixed-point value") from None
 
 
 def quantize9(x) -> float:

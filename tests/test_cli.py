@@ -57,6 +57,43 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()   # nothing partially written
 
 
+@pytest.mark.parametrize("kind, flags, code", [
+    ("base_fee", ["--kb", "1e400"], "DomainError"),
+    ("base_fee", ["--kb", "nan"], "DomainError"),
+    ("base_fee", ["--kb", "1e300"], "DomainError"),       # finite, but k*u^2 overflows 9 digits
+    ("dynamic_fee", ["--k", "inf", "--m-max", "500"], "DomainError"),
+    ("dynamic_fee", ["--k", "0.01", "--m-max", "inf"], "DomainError"),
+    ("deviation_pct", ["--kd", "0.0004", "--cd", "inf"], "DomainError"),
+    ("deviation_price", ["--price", "nan", "--kd", "0.0004"], "InvalidGrid"),
+    ("deviation_price", ["--price", "inf", "--kd", "0.0004"], "InvalidGrid"),
+    ("deviation_price", ["--price", "1e400", "--kd", "0.0004"], "DomainError"),
+    ("base_fee", ["--kb", "0.01", "--grid", "0:inf:1"], "InvalidGrid"),
+    ("base_fee", ["--kb", "0.01", "--grid", "nan:1:1"], "InvalidGrid"),
+])
+def test_curves_non_finite_or_overflowing_input_is_one_error_line(
+        tmp_path, capsys, kind, flags, code):
+    out = tmp_path / "x.csv"
+    grid = [] if "--grid" in flags else ["--grid", "0:100:1"]
+    assert main(["curves", "--kind", kind, *flags, *grid, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR {code}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "9" * 401])
+def test_validate_overflowing_coefficient_is_config_error(tmp_path, capsys, literal):
+    text = json.dumps(FRICTIONLESS)
+    assert '"k_b": 0' in text
+    cfg = tmp_path / "market.json"
+    cfg.write_text(text.replace('"k_b": 0', f'"k_b": {literal}'))
+    assert main(["validate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ConfigError: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["market.json"]
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["curves", "--kind", "base_fee"])

@@ -76,6 +76,17 @@ def test_deviation_params_reject_negatives():
         DeviationParams(0, -0.1)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("make", [
+    lambda x: DeviationParams(x, 0), lambda x: DeviationParams(0.01, x),
+    lambda x: BaseFeeParams(x, 0), lambda x: BaseFeeParams(0.01, x),
+    lambda x: DynamicFeeParams(x, 0.01), lambda x: DynamicFeeParams(500, x),
+])
+def test_curve_params_reject_non_finite(make, bad):
+    with pytest.raises(DomainError):
+        make(bad)
+
+
 # -- Quotes ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("u,expected", [
@@ -236,6 +247,20 @@ def test_dynamic_fee_monotone_and_bounded(m, k, lo, delta):
     p = DynamicFeeParams(m, k)
     assert eval_dynamic_fee(lo, p) <= eval_dynamic_fee(lo + delta, p)
     assert 0.0 <= eval_dynamic_fee(lo + delta, p) < m
+
+
+def test_dynamic_fee_matches_tanh_form():
+    import math
+    import random
+
+    rng = random.Random(7)
+    for _ in range(2000):
+        sigma = rng.uniform(0, 300)
+        m = rng.uniform(0, 1000)
+        k = rng.uniform(1e-6, 0.05)
+        got = eval_dynamic_fee(sigma, DynamicFeeParams(m, k))
+        want = m * math.tanh(k * sigma / 2.0)
+        assert abs(got - want) <= 5e-10 + 1e-12 * abs(want)   # half a 9-digit tick
 
 
 def test_dynamic_fee_approaches_maximum():

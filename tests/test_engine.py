@@ -512,11 +512,6 @@ def fingerprint(engine: Engine):
 
 
 def test_every_error_site_leaves_state_untouched():
-    cases = []
-
-    def case(build, call, error):
-        cases.append((build, call, error))
-
     def stale_feed():
         engine = make_engine()
         engine.vault.deposit("lp", U(10000))
@@ -614,9 +609,16 @@ def test_every_error_site_leaves_state_untouched():
                                   position_id=pid)
         return engine, lambda: engine.settle_order(oid, 10), InsolventVault
 
+    def redeem_strands_reserved():
+        engine = make_engine()
+        engine.vault.deposit("lp", U(1000))
+        open_position(engine, size=U(800), collateral=U(100))
+        shares = engine.vault.balances["lp"]
+        return engine, lambda: engine.lp_redeem("lp", shares // 2, 1), InsufficientLiquidity
+
     for build in (stale_feed, feed_disagreement, slippage, oi_cap, exposure_cap,
                   liquidity, fee_eats_collateral, missing_position, untriggered,
-                  not_liquidatable, vault_insolvent):
+                  not_liquidatable, vault_insolvent, redeem_strands_reserved):
         engine, call, error = build()
         before = fingerprint(engine)
         with pytest.raises(error):
