@@ -14,7 +14,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 
 from .config import load_market_config
-from .errors import ProtocolError
+from .errors import InvalidGrid, ProtocolError
 from .figures import FIGURE_KINDS, Grid, emit_figure_data
 from .scenario import run_files, write_csv_atomic, write_outputs
 
@@ -74,14 +74,22 @@ def _curve_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if inline:
             parser.error("--params cannot be combined with inline parameter flags")
         with open(args.params) as fh:
-            raw = json.load(fh, parse_float=Decimal, parse_int=Decimal)
+            try:
+                raw = json.load(fh, parse_float=Decimal, parse_int=Decimal)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise InvalidGrid(f"--params is not JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise InvalidGrid("--params must hold a JSON object")
         params = {}
-        for key, value in raw.items():
-            if key in _LIST_KEYS:
-                params[key] = [Decimal(str(v)) for v in (
-                    value if isinstance(value, list) else [value])]
-            else:
-                params[key] = Decimal(str(value))
+        try:
+            for key, value in raw.items():
+                if key in _LIST_KEYS:
+                    params[key] = [Decimal(str(v)) for v in (
+                        value if isinstance(value, list) else [value])]
+                else:
+                    params[key] = Decimal(str(value))
+        except InvalidOperation:
+            raise InvalidGrid(f"--params {key} is not a number: {value!r}") from None
         return params
     return inline
 

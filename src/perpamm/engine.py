@@ -12,14 +12,16 @@ Indices accumulate in raw binary64 (quantizing each increment would break
 split-vs-single-step accrual equivalence); the rates feeding them are
 9-digit-quantized curve outputs.
 
-Every mutating method is atomic: any raised error restores the engine,
-vault included, to the state bit-identical to the one before the call.
+Every mutating method is atomic by construction: it computes the accrued
+pool, fees, open interest and the vault's net flow in locals, runs every
+check, and writes only after the last one. A raised error therefore leaves
+the engine, vault included, bit-identical to its state before the call,
+and no call copies state to get there.
 """
 
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .curves import (
@@ -294,66 +296,34 @@ class Engine:
     def open_collateral_total(self) -> int:
         return sum(p.collateral for p in self.positions.values())
 
-    # -- atomicity ---------------------------------------------------------------
-
-    def _snapshot(self):
-        return (
-            self.vault.clone(), dict(self.positions), dict(self.orders),
-            dict(self.escrow), self.reserved, self.long_oi, self.short_oi,
-            self.cum_fee_index_long, self.cum_fee_index_short,
-            self.last_accrual_time, self.treasury,
-            self._next_order_id, self._next_position_id,
-        )
-
-    def _restore(self, snap) -> None:
-        (vault, positions, orders, escrow, self.reserved, self.long_oi,
-         self.short_oi, self.cum_fee_index_long, self.cum_fee_index_short,
-         self.last_accrual_time, self.treasury,
-         self._next_order_id, self._next_position_id) = snap
-        # restore the vault in place: callers hold references to the same object
-        self.vault.total_assets = vault.total_assets
-        self.vault.total_shares = vault.total_shares
-        self.vault.balances = vault.balances
-        self.positions = positions
-        self.orders = orders
-        self.escrow = escrow
-
-    @contextmanager
-    def _atomic(self):
-        snap = self._snapshot()
-        try:
-            yield
-        except BaseException:
-            self._restore(snap)
-            raise
-
     # -- accrual -------------------------------------------------------------------
 
-    def _accrue(self, now: int) -> None:
-        pool = accrue_fees(self.pool_state(), self.config, now)
+    def _accrued(self, now: int) -> PoolState:
+        """The pool with fees accrued to `now`; writes nothing."""
+        return accrue_fees(self.pool_state(), self.config, now)
+
+    def _commit(self, pool: PoolState) -> None:
+        """Write an accrued pool's indices and time; runs after a call's last check."""
         self.cum_fee_index_long = pool.cum_fee_index_long
         self.cum_fee_index_short = pool.cum_fee_index_short
         self.last_accrual_time = pool.last_accrual_time
 
     def accrue(self, now: int) -> None:
-        with self._atomic():
-            self._accrue(now)
+        self._commit(self._accrued(now))
 
     # -- LP flows --------------------------------------------------------------------
 
     def lp_deposit(self, account: str, assets: int, now: int) -> int:
-        with self._atomic():
-            self._accrue(now)
-            return self.vault.deposit(account, assets)
+        pool = self._accrued(now)
+        shares = self.vault.deposit(account, assets)
+        self._commit(pool)
+        return shares
 
     def lp_redeem(self, account: str, shares: int, now: int) -> int:
-        with self._atomic():
-            self._accrue(now)
-            assets = self.vault.redeem(account, shares)
-            if self.vault.total_assets < self.reserved:   # _atomic undoes the redeem
-                raise InsufficientLiquidity(
-                    "redeem would leave the pool below reserved liquidity")
-            return assets
+        pool = self._accrued(now)
+        assets = self.vault.redeem(account, shares, locked=self.reserved)
+        self._commit(pool)
+        return assets
 
     # -- order lifecycle ---------------------------------------------------------------
 
@@ -403,19 +373,17 @@ class Engine:
         order = Order(order_id, owner, self.config.market_id, kind, direction,
                       size, collateral, acceptable_price, max_slippage,
                       trigger_price, position_id, now)
-        with self._atomic():
-            self._next_order_id += 1
-            self.orders[order_id] = order
-            if kind in OPEN_KINDS:
-                self.escrow[order_id] = collateral
+        self._next_order_id += 1
+        self.orders[order_id] = order
+        if kind in OPEN_KINDS:
+            self.escrow[order_id] = collateral
         return order_id
 
     def cancel_order(self, order_id: int, now: int) -> int:
         if order_id not in self.orders:
             raise UnknownOrder(f"no pending order {order_id}")
-        with self._atomic():
-            del self.orders[order_id]
-            return self.escrow.pop(order_id, 0)
+        del self.orders[order_id]
+        return self.escrow.pop(order_id, 0)
 
     # -- settlement --------------------------------------------------------------------
 
@@ -438,89 +406,92 @@ class Engine:
             raise SlippageExceeded(
                 f"execution {exec_price} beyond slippage bound from {acceptable}")
 
-    def _route_fee(self, amount: int) -> None:
-        cut = amount * self.treasury_fee_share // (100 * UNIT_SCALE)
-        self.treasury += cut
-        self.vault.credit(amount - cut)
+    def _treasury_cut(self, fees: int) -> int:
+        return fees * self.treasury_fee_share // (100 * UNIT_SCALE)
 
     def settle_order(self, order_id: int, now: int) -> SettlementReceipt:
         order = self.orders.get(order_id)
         if order is None:
             raise UnknownOrder(f"no pending order {order_id}")
-        with self._atomic():
-            self._accrue(now)
-            pos: Position | None = None
-            if order.kind in CLOSE_KINDS:
-                pos = self.positions.get(order.position_id)  # type: ignore[arg-type]
-                if pos is None:
-                    raise UnknownPosition(f"no open position {order.position_id}")
-                if pos.owner != order.owner:
-                    raise DomainError("order owner does not hold the position")
-                if pos.direction is not order.direction:
-                    raise DomainError("order direction does not match the position")
-                if order.size and order.size != pos.size:
-                    raise DomainError("partial closes are not supported")
-                side = TradeSide.SELL if pos.direction is Direction.LONG else TradeSide.BUY
-            else:
-                side = TradeSide.BUY if order.direction is Direction.LONG else TradeSide.SELL
-            mark = self._aggregate_mark(side, now)
-            if order.kind in TRIGGER_KINDS and not trigger_met(
-                    order.kind, order.direction, order.trigger_price, mark):
-                raise TriggerNotMet(f"order {order_id} trigger not met at {mark}")
+        pool = self._accrued(now)
+        pos: Position | None = None
+        if order.kind in CLOSE_KINDS:
+            pos = self.positions.get(order.position_id)  # type: ignore[arg-type]
+            if pos is None:
+                raise UnknownPosition(f"no open position {order.position_id}")
+            if pos.owner != order.owner:
+                raise DomainError("order owner does not hold the position")
+            if pos.direction is not order.direction:
+                raise DomainError("order direction does not match the position")
+            if order.size and order.size != pos.size:
+                raise DomainError("partial closes are not supported")
+            side = TradeSide.SELL if pos.direction is Direction.LONG else TradeSide.BUY
+        else:
+            side = TradeSide.BUY if order.direction is Direction.LONG else TradeSide.SELL
+        mark = self._aggregate_mark(side, now)
+        if order.kind in TRIGGER_KINDS and not trigger_met(
+                order.kind, order.direction, order.trigger_price, mark):
+            raise TriggerNotMet(f"order {order_id} trigger not met at {mark}")
 
-            long_q, short_q = quote_prices_units(
-                mark, utilization_pct(self.pool_state()), self.config.deviation)
-            if order.kind in OPEN_KINDS:
-                exec_price = long_q if order.direction is Direction.LONG else short_q
-            else:
-                # closes consume the opposite quote side (bid/ask behavior)
-                exec_price = short_q if order.direction is Direction.LONG else long_q
-            self._check_slippage(side, exec_price, order.acceptable_price,
-                                 order.max_slippage)
+        long_q, short_q = quote_prices_units(
+            mark, utilization_pct(pool), self.config.deviation)
+        if order.kind in OPEN_KINDS:
+            exec_price = long_q if order.direction is Direction.LONG else short_q
+        else:
+            # closes consume the opposite quote side (bid/ask behavior)
+            exec_price = short_q if order.direction is Direction.LONG else long_q
+        self._check_slippage(side, exec_price, order.acceptable_price,
+                             order.max_slippage)
 
-            if order.kind in OPEN_KINDS:
-                receipt = self._execute_open(order, exec_price)
-            else:
-                assert pos is not None
-                receipt = self._execute_close(pos, exec_price,
-                                              charge_close_fee=True)
-            del self.orders[order_id]
-            self.escrow.pop(order_id, None)
-            return receipt
+        if order.kind in OPEN_KINDS:
+            receipt = self._execute_open(order, exec_price, pool)
+        else:
+            assert pos is not None
+            receipt = self._execute_close(pos, exec_price, pool,
+                                          charge_close_fee=True)
+        del self.orders[order_id]
+        self.escrow.pop(order_id, None)
+        return receipt
 
-    def _execute_open(self, order: Order, exec_price: int) -> SettlementReceipt:
+    def _execute_open(self, order: Order, exec_price: int,
+                      pool: PoolState) -> SettlementReceipt:
         fee = pct_of(order.size, self.config.open_close_fee_rate)
         net_collateral = order.collateral - fee
         if net_collateral <= 0:
             raise InsufficientCollateral("open fee consumes the entire collateral")
-        self._route_fee(fee)
+        cut = self._treasury_cut(fee)
+        long_oi, short_oi = pool.long_oi, pool.short_oi
         if order.direction is Direction.LONG:
-            self.long_oi += order.size
+            long_oi += order.size
+            side_oi = long_oi
         else:
-            self.short_oi += order.size
-        self.reserved += order.size
-        side_oi = self.long_oi if order.direction is Direction.LONG else self.short_oi
+            short_oi += order.size
+            side_oi = short_oi
         if side_oi > self.config.max_open_interest:
             raise OpenInterestCapExceeded(
                 f"open interest {side_oi} above cap {self.config.max_open_interest}")
-        if abs(self.long_oi - self.short_oi) > self.config.max_exposure:
+        if abs(long_oi - short_oi) > self.config.max_exposure:
             raise ExposureCapExceeded(
                 f"net exposure above cap {self.config.max_exposure}")
-        if self.reserved > self.vault.total_assets:
+        reserved = pool.reserved + order.size
+        # the vault's share of the fee counts toward the pool that backs the reservation
+        if reserved > pool.pool_value + fee - cut:
             raise InsufficientLiquidity("pool too small to reserve this notional")
-        entry_index = (self.cum_fee_index_long if order.direction is Direction.LONG
-                       else self.cum_fee_index_short)
+
+        self._commit(pool)
+        self.treasury += cut
+        self.vault.credit(fee - cut)
+        self.long_oi, self.short_oi, self.reserved = long_oi, short_oi, reserved
         position = Position(self._next_position_id, order.owner, order.market_id,
                             order.direction, order.size, net_collateral,
-                            exec_price, entry_index)
+                            exec_price, _side_index(pool, order.direction))
         self.positions[position.position_id] = position
         self._next_position_id += 1
         return SettlementReceipt(executed_price=exec_price, open_close_fee=fee,
                                  borrow_fee_paid=0, realized_pnl=0)
 
-    def _execute_close(self, pos: Position, exec_price: int, *,
+    def _execute_close(self, pos: Position, exec_price: int, pool: PoolState, *,
                        charge_close_fee: bool, liquidation: bool = False) -> SettlementReceipt:
-        pool = self.pool_state()
         owed = _owed_borrow_fee(pos, pool)
         pnl = _pnl(pos, exec_price)
         gross = pos.collateral + pnl
@@ -539,23 +510,24 @@ class Engine:
         # collateral dissolves into: payout, the treasury's fee cut, and the
         # vault's net flow (trade gain plus its fee share, netted against any
         # trader profit so a payable settlement never trips insolvency)
-        fee_pot = borrow_collected + close_fee + liq_fee
-        cut = fee_pot * self.treasury_fee_share // (100 * UNIT_SCALE)
-        self.treasury += cut
+        cut = self._treasury_cut(borrow_collected + close_fee + liq_fee)
         net = pos.collateral - payout - cut
+        # reserved - size >= 0, so this also rules out a debit beyond the vault's assets
+        if pool.pool_value + net < pool.reserved - pos.size:
+            raise InsolventVault("pool below reserved liquidity after payout")
+
+        self._commit(pool)
+        self.treasury += cut
         if net >= 0:
             self.vault.credit(net)
         else:
             self.vault.debit(-net)
-
         del self.positions[pos.position_id]
         if pos.direction is Direction.LONG:
             self.long_oi -= pos.size
         else:
             self.short_oi -= pos.size
         self.reserved -= pos.size
-        if self.vault.total_assets < self.reserved:
-            raise InsolventVault("pool below reserved liquidity after payout")
         return SettlementReceipt(executed_price=exec_price, open_close_fee=close_fee,
                                  borrow_fee_paid=borrow_collected, realized_pnl=pnl,
                                  liquidation_fee=liq_fee, payout=payout)
@@ -566,23 +538,22 @@ class Engine:
         pos = self.positions.get(position_id)
         if pos is None:
             raise UnknownPosition(f"no open position {position_id}")
-        with self._atomic():
-            self._accrue(now)
-            side = TradeSide.SELL if pos.direction is Direction.LONG else TradeSide.BUY
-            mark = self._aggregate_mark(side, now)
-            if not check_liquidation(pos, self.pool_state(), self.config, mark):
-                raise NotLiquidatable(f"position {position_id} is healthy at {mark}")
-            return self._execute_close(pos, mark, charge_close_fee=False,
-                                       liquidation=True)
+        pool = self._accrued(now)
+        side = TradeSide.SELL if pos.direction is Direction.LONG else TradeSide.BUY
+        mark = self._aggregate_mark(side, now)
+        if not check_liquidation(pos, pool, self.config, mark):
+            raise NotLiquidatable(f"position {position_id} is healthy at {mark}")
+        return self._execute_close(pos, mark, pool, charge_close_fee=False,
+                                   liquidation=True)
 
     # -- triggers ------------------------------------------------------------------------
 
-    def evaluate_triggers(self, mark_price: int, now: int) -> list[int]:
-        """Ids of pending trigger orders whose condition holds at the mark."""
-        ready: list[int] = []
-        for order_id in sorted(self.orders):
-            order = self.orders[order_id]
-            if order.kind in TRIGGER_KINDS and trigger_met(
-                    order.kind, order.direction, order.trigger_price, mark_price):
-                ready.append(order_id)
-        return ready
+    def evaluate_triggers(self, mark_price: int) -> list[int]:
+        """Ids of pending trigger orders whose condition holds at the mark.
+
+        Ids are handed out increasing and each is inserted once, so dict
+        order is id order. Market kinds never meet a trigger.
+        """
+        return [order_id for order_id, order in self.orders.items()
+                if trigger_met(order.kind, order.direction, order.trigger_price,
+                               mark_price)]

@@ -41,7 +41,7 @@ class ScenarioError(ProtocolError):
 
 
 class InvalidGrid(ProtocolError):
-    """Figure grid specification is not a valid inclusive lo:hi:step range."""
+    """Figure grid (an inclusive lo:hi:step range) or figure parameters are malformed."""
 
 
 # -- Oracle ------------------------------------------------------------------

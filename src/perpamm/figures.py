@@ -15,7 +15,7 @@ golden artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException, InvalidOperation
 
 from .curves import (
     BaseFeeParams,
@@ -30,6 +30,7 @@ from .errors import InvalidGrid
 from .money import format9
 
 FIGURE_KINDS = ("deviation_price", "deviation_pct", "base_fee", "dynamic_fee")
+MAX_GRID_POINTS = 10**6   # a table row per point: bounds the time and memory one table takes
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,15 @@ class Grid:
             raise InvalidGrid("grid step must be positive")
         if hi < lo:
             raise InvalidGrid("grid upper bound below lower bound")
-        if (hi - lo) % step != 0:
+        try:   # DivisionImpossible: a quotient beyond the context's 28 digits
+            uneven = (hi - lo) % step != 0
+            points = (hi - lo) / step + 1
+        except DecimalException:
+            raise InvalidGrid(f"grid has too many points: {text!r}") from None
+        if uneven:
             raise InvalidGrid("grid step must divide the range evenly")
+        if points > MAX_GRID_POINTS:
+            raise InvalidGrid(f"grid has more than {MAX_GRID_POINTS} points: {text!r}")
         return cls(lo, hi, step)
 
     def points(self) -> list[Decimal]:

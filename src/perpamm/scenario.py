@@ -335,7 +335,7 @@ class _Runner:
         mark = self.engine.feeds.latest_price(self.scenario.primary_feed)
         if mark is None:
             return
-        for order_id in self.engine.evaluate_triggers(mark, t):
+        for order_id in self.engine.evaluate_triggers(mark):
             order = self.engine.orders[order_id]
             position_id = order.position_id
             try:
@@ -494,22 +494,30 @@ def run_files(scenario_path: str, config_path: str | None = None,
 
 # -- Output writing --------------------------------------------------------------------
 
-def write_csv_atomic(path: str, header: list[str], rows) -> None:
-    """Write a CSV via temp-file + atomic rename; LF line endings."""
-    import csv
-
+def _write_atomic(path: str, write) -> None:
+    """Write a text file via temp-file + atomic rename; `write(fh)` fills it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv_atomic(path: str, header: list[str], rows) -> None:
+    """Write a CSV via temp-file + atomic rename; LF line endings."""
+    import csv
+
+    def write(fh) -> None:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _write_atomic(path, write)
 
 
 def write_outputs(result: RunResult, out_dir: str, inputs: dict[str, str]) -> None:
@@ -532,14 +540,5 @@ def write_outputs(result: RunResult, out_dir: str, inputs: dict[str, str]) -> No
         "snapshots": len(result.snapshots),
         "receipts": len(result.receipts),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(os.path.join(out_dir, "manifest.json"), lambda fh: fh.write(text))

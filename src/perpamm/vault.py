@@ -10,7 +10,8 @@ All amounts are integer base units. Mint and redeem both round down
 
 from __future__ import annotations
 
-from .errors import DomainError, InsolventVault, InsufficientShares, ZeroShareMint
+from .errors import (DomainError, InsolventVault, InsufficientLiquidity,
+                     InsufficientShares, ZeroShareMint)
 
 
 class VaultState:
@@ -34,8 +35,11 @@ class VaultState:
         self.balances[account] = self.balances.get(account, 0) + shares
         return shares
 
-    def redeem(self, account: str, shares: int) -> int:
-        """Burn shares and return the proportional assets (floor)."""
+    def redeem(self, account: str, shares: int, locked: int = 0) -> int:
+        """Burn shares and return the proportional assets (floor).
+
+        Raises InsufficientLiquidity, writing nothing, if fewer than `locked`
+        assets would remain."""
         if shares <= 0:
             raise DomainError("redeem must be positive")
         balance = self.balances.get(account, 0)
@@ -43,6 +47,9 @@ class VaultState:
             raise InsufficientShares(
                 f"account {account!r} holds {balance} shares, asked {shares}")
         assets = shares * self.total_assets // self.total_shares
+        if self.total_assets - assets < locked:
+            raise InsufficientLiquidity(
+                "redeem would leave the pool below reserved liquidity")
         self.total_assets -= assets
         self.total_shares -= shares
         remaining = balance - shares
@@ -74,6 +81,7 @@ class VaultState:
         return self.total_assets / self.total_shares
 
     def clone(self) -> "VaultState":
+        """Independent copy; the engine never copies its vault, but perfbench counts calls."""
         copy = VaultState()
         copy.total_assets = self.total_assets
         copy.total_shares = self.total_shares

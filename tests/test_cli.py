@@ -69,10 +69,23 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("deviation_price", ["--price", "1e400", "--kd", "0.0004"], "DomainError"),
     ("base_fee", ["--kb", "0.01", "--grid", "0:inf:1"], "InvalidGrid"),
     ("base_fee", ["--kb", "0.01", "--grid", "nan:1:1"], "InvalidGrid"),
+    ("base_fee", ["--kb", "0.01", "--grid", "0:1e30:1"], "InvalidGrid"),   # DivisionImpossible
+    ("base_fee", ["--kb", "0.01", "--grid", "0:1e12:1"], "InvalidGrid"),   # above the row cap
+    # a --params value is the file's text
+    ("base_fee", ["--params", "{not json"], "InvalidGrid"),
+    ("base_fee", ["--params", "[1, 2]"], "InvalidGrid"),
+    ("base_fee", ["--params", '{"k_b": "abc"}'], "InvalidGrid"),
+    ("base_fee", ["--params", '{"k_b": [0.01, "abc"]}'], "InvalidGrid"),
+    ("base_fee", ["--params", '{"k_b": null}'], "InvalidGrid"),
+    ("base_fee", ["--params", '{"k_b": 0.01, "c_b": true}'], "InvalidGrid"),
 ])
 def test_curves_non_finite_or_overflowing_input_is_one_error_line(
         tmp_path, capsys, kind, flags, code):
     out = tmp_path / "x.csv"
+    if "--params" in flags:
+        params = tmp_path / "params.json"
+        params.write_text(flags[1])
+        flags = ["--params", str(params)]
     grid = [] if "--grid" in flags else ["--grid", "0:100:1"]
     assert main(["curves", "--kind", kind, *flags, *grid, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()

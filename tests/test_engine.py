@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from perpamm.errors import (
     UnknownMarket,
     UnknownOrder,
     UnknownPosition,
+    ZeroShareMint,
 )
 from perpamm.money import SECONDS_PER_YEAR, to_units
 from perpamm.oracle import PricePoint
@@ -270,6 +272,24 @@ def test_open_beyond_pool_is_insufficient_liquidity(engine):
         engine.settle_order(oid, 0)
 
 
+@pytest.mark.parametrize("size, fills", [(U(1007), True), (U(1008), False)])
+def test_open_liquidity_counts_the_vaults_fee_share(size, fills):
+    # a 1000 pool plus the vault's 75% of a 1% open fee backs at most ~1007.55
+    engine = make_engine(make_config(open_close_fee_rate=U(1)),
+                         treasury_fee_share=U(25))
+    engine.vault.deposit("lp", U(1000))
+    feed_both(engine, U(2000), 0)
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+                              size=size, collateral=U(200),
+                              acceptable_price=U(2000), max_slippage=U(1))
+    if fills:
+        engine.settle_order(oid, 0)
+        assert engine.reserved == size <= engine.vault.total_assets
+    else:
+        with pytest.raises(InsufficientLiquidity):
+            engine.settle_order(oid, 0)
+
+
 def test_open_fee_reduces_position_collateral():
     engine = make_engine(make_config(open_close_fee_rate=U("0.1")))
     engine.vault.deposit("lp", U(10000))
@@ -479,9 +499,16 @@ def test_evaluate_triggers_returns_ready_orders(engine):
     tp = engine.create_order("t", OrderKind.TAKE_PROFIT, Direction.LONG, 0,
                              position_id=pid, trigger_price=U(2100),
                              max_slippage=U(5))
-    assert engine.evaluate_triggers(U(2000), 1) == []
-    assert engine.evaluate_triggers(U(1900), 1) == [sl]
-    assert engine.evaluate_triggers(U(2150), 1) == [tp]
+    assert engine.evaluate_triggers(U(2000)) == []
+    assert engine.evaluate_triggers(U(1900)) == [sl]
+    assert engine.evaluate_triggers(U(2150)) == [tp]
+    # two ready orders come back in id order, behind a market order that never fires
+    engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 0,
+                        position_id=pid, acceptable_price=U(2000))
+    sl2 = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
+                              position_id=pid, trigger_price=U(1950),
+                              max_slippage=U(5))
+    assert engine.evaluate_triggers(U(1900)) == [sl, sl2]
 
 
 def test_settling_untriggered_order_fails(engine):
@@ -511,119 +538,221 @@ def fingerprint(engine: Engine):
     )
 
 
+# Every case sets up at t=0 under nonzero borrow rates and fails later, so an
+# accrual committed before the raise would move the fingerprint.
+LATER = 60
+
+
+def rated_engine(**overrides) -> Engine:
+    return make_engine(make_config(base_fee=BaseFeeParams(0.0, 36.5), **overrides))
+
+
+def pending_open(engine, size=U(100), collateral=U(100)):
+    return engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+                               size=size, collateral=collateral,
+                               acceptable_price=U(2000), max_slippage=U(1))
+
+
 def test_every_error_site_leaves_state_untouched():
     def stale_feed():
-        engine = make_engine()
+        engine = rated_engine()
         engine.vault.deposit("lp", U(10000))
-        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
-                                  size=U(100), collateral=U(100),
-                                  acceptable_price=U(2000), max_slippage=U(1))
-        return engine, lambda: engine.settle_order(oid, 0), StaleFeed
+        oid = pending_open(engine)
+        return engine, lambda: engine.settle_order(oid, LATER), StaleFeed
 
     def feed_disagreement():
-        engine = make_engine()
+        engine = rated_engine()
         engine.vault.deposit("lp", U(10000))
         engine.feeds.ingest(PricePoint("primary", U(2000), 0))
         engine.feeds.ingest(PricePoint("secondary", U(2100), 0))
-        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
-                                  size=U(100), collateral=U(100),
-                                  acceptable_price=U(2000), max_slippage=U(1))
-        return engine, lambda: engine.settle_order(oid, 0), DeviationTooHigh
+        oid = pending_open(engine)
+        return engine, lambda: engine.settle_order(oid, LATER), DeviationTooHigh
 
     def slippage():
-        engine = make_engine(make_config(deviation=DeviationParams(0.0005, 0.0)))
+        engine = rated_engine(deviation=DeviationParams(0.0005, 0.0))
         engine.vault.deposit("lp", U(2000))
         open_position(engine, size=U(1000), collateral=U(100))
-        oid = engine.create_order("t2", OrderKind.MARKET_OPEN, Direction.LONG, 0,
-                                  size=U(100), collateral=U(100),
-                                  acceptable_price=U(2000), max_slippage=U(1))
-        return engine, lambda: engine.settle_order(oid, 0), SlippageExceeded
+        oid = pending_open(engine)
+        return engine, lambda: engine.settle_order(oid, LATER), SlippageExceeded
 
     def oi_cap():
-        engine = make_engine(make_config(max_open_interest=U(50)))
+        engine = rated_engine(max_open_interest=U(50))
         engine.vault.deposit("lp", U(10000))
         feed_both(engine, U(2000), 0)
-        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
-                                  size=U(100), collateral=U(100),
-                                  acceptable_price=U(2000), max_slippage=U(1))
-        return engine, lambda: engine.settle_order(oid, 0), OpenInterestCapExceeded
+        oid = pending_open(engine)
+        return engine, lambda: engine.settle_order(oid, LATER), OpenInterestCapExceeded
 
     def exposure_cap():
-        engine = make_engine(make_config(max_exposure=U(50)))
+        engine = rated_engine(max_exposure=U(50))
         engine.vault.deposit("lp", U(10000))
         feed_both(engine, U(2000), 0)
-        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
-                                  size=U(100), collateral=U(100),
-                                  acceptable_price=U(2000), max_slippage=U(1))
-        return engine, lambda: engine.settle_order(oid, 0), ExposureCapExceeded
+        oid = pending_open(engine)
+        return engine, lambda: engine.settle_order(oid, LATER), ExposureCapExceeded
 
     def liquidity():
-        engine = make_engine()
+        engine = rated_engine()
         engine.vault.deposit("lp", U(50))
         feed_both(engine, U(2000), 0)
-        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
-                                  size=U(100), collateral=U(100),
-                                  acceptable_price=U(2000), max_slippage=U(1))
-        return engine, lambda: engine.settle_order(oid, 0), InsufficientLiquidity
+        oid = pending_open(engine)
+        return engine, lambda: engine.settle_order(oid, LATER), InsufficientLiquidity
 
     def fee_eats_collateral():
-        engine = make_engine(make_config(open_close_fee_rate=U(10)))
+        engine = rated_engine(open_close_fee_rate=U(10))
         engine.vault.deposit("lp", U(10000))
         feed_both(engine, U(2000), 0)
-        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
-                                  size=U(1000), collateral=U(100),
-                                  acceptable_price=U(2000), max_slippage=U(1))
-        return engine, lambda: engine.settle_order(oid, 0), InsufficientCollateral
+        oid = pending_open(engine, size=U(1000))
+        return engine, lambda: engine.settle_order(oid, LATER), InsufficientCollateral
 
     def missing_position():
-        engine = make_engine()
+        engine = rated_engine()
         engine.vault.deposit("lp", U(10000))
         feed_both(engine, U(2000), 0)
         oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 0,
                                   acceptable_price=U(2000), max_slippage=U(1),
                                   position_id=9)
-        return engine, lambda: engine.settle_order(oid, 0), UnknownPosition
+        return engine, lambda: engine.settle_order(oid, LATER), UnknownPosition
+
+    def foreign_close():
+        engine = rated_engine()
+        engine.vault.deposit("lp", U(10000))
+        pid = open_position(engine)
+        oid = engine.create_order("someone_else", OrderKind.MARKET_CLOSE,
+                                  Direction.LONG, 0, acceptable_price=U(2000),
+                                  max_slippage=U(1), position_id=pid)
+        return engine, lambda: engine.settle_order(oid, LATER), DomainError
+
+    def close_wrong_direction():
+        engine = rated_engine()
+        engine.vault.deposit("lp", U(10000))
+        pid = open_position(engine)
+        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.SHORT, 0,
+                                  acceptable_price=U(2000), max_slippage=U(1),
+                                  position_id=pid)
+        return engine, lambda: engine.settle_order(oid, LATER), DomainError
 
     def untriggered():
-        engine = make_engine()
+        engine = rated_engine()
         engine.vault.deposit("lp", U(10000))
         pid = open_position(engine)
         oid = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
                                   position_id=pid, trigger_price=U(1900),
                                   max_slippage=U(5))
         feed_both(engine, U(2000), 1)
-        return engine, lambda: engine.settle_order(oid, 1), TriggerNotMet
+        return engine, lambda: engine.settle_order(oid, LATER), TriggerNotMet
 
     def not_liquidatable():
-        engine = liquidation_engine()
+        engine = rated_engine(liquidation_fee_rate=U(10))
+        engine.vault.deposit("lp", U(10000))
+        open_position(engine)
         feed_both(engine, U(1990), 1)
-        return engine, lambda: engine.liquidate(1, 1), NotLiquidatable
+        return engine, lambda: engine.liquidate(1, LATER), NotLiquidatable
 
     def vault_insolvent():
-        engine = make_engine()
+        engine = rated_engine()
         engine.vault.deposit("lp", U(200))
         pid = open_position(engine, size=U(100), collateral=U(100))
         feed_both(engine, U(8000), 10)   # pnl +300 > pool
         oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 10,
                                   acceptable_price=U(8000), max_slippage=U(5),
                                   position_id=pid)
-        return engine, lambda: engine.settle_order(oid, 10), InsolventVault
+        return engine, lambda: engine.settle_order(oid, LATER), InsolventVault
+
+    def liquidation_insolvent():
+        # a year at 365%: the long owes 1825 and is liquidatable despite pnl
+        # +1000; its 1050 of collected fees all go to the treasury, so the
+        # vault pays 1000 out of 1000 while the short still reserves 500
+        engine = make_engine(make_config(base_fee=BaseFeeParams(0.0, 365.0)),
+                             treasury_fee_share=U(100))
+        engine.vault.deposit("lp", U(1000))
+        pid = open_position(engine, size=U(500), collateral=U(50))
+        open_position(engine, size=U(500), collateral=U(50), direction=Direction.SHORT)
+        feed_both(engine, U(6000), SECONDS_PER_YEAR)
+        return (engine, lambda: engine.liquidate(pid, SECONDS_PER_YEAR),
+                InsolventVault)
 
     def redeem_strands_reserved():
-        engine = make_engine()
+        engine = rated_engine()
         engine.vault.deposit("lp", U(1000))
         open_position(engine, size=U(800), collateral=U(100))
         shares = engine.vault.balances["lp"]
-        return engine, lambda: engine.lp_redeem("lp", shares // 2, 1), InsufficientLiquidity
+        return (engine, lambda: engine.lp_redeem("lp", shares // 2, LATER),
+                InsufficientLiquidity)
+
+    def deposit_mints_zero():
+        engine = rated_engine()
+        engine.vault.deposit("lp", 1)
+        engine.vault.credit(U(1000))    # one share now prices at 1000 units
+        return engine, lambda: engine.lp_deposit("x", 1, LATER), ZeroShareMint
+
+    def accrued_past_call():
+        engine = rated_engine()
+        engine.vault.deposit("lp", U(10000))
+        pid = open_position(engine)
+        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 0,
+                                  acceptable_price=U(2000), max_slippage=U(1),
+                                  position_id=pid)
+        engine.accrue(LATER + 1)
+        return engine, pid, oid
+
+    def settle_clock_regression():
+        engine, _, oid = accrued_past_call()
+        return engine, lambda: engine.settle_order(oid, LATER), ClockRegression
+
+    def liquidate_clock_regression():
+        engine, pid, _ = accrued_past_call()
+        return engine, lambda: engine.liquidate(pid, LATER), ClockRegression
+
+    def deposit_clock_regression():
+        engine, _, _ = accrued_past_call()
+        return engine, lambda: engine.lp_deposit("lp", U(1), LATER), ClockRegression
 
     for build in (stale_feed, feed_disagreement, slippage, oi_cap, exposure_cap,
-                  liquidity, fee_eats_collateral, missing_position, untriggered,
-                  not_liquidatable, vault_insolvent, redeem_strands_reserved):
+                  liquidity, fee_eats_collateral, missing_position, foreign_close,
+                  close_wrong_direction, untriggered, not_liquidatable,
+                  vault_insolvent, liquidation_insolvent, redeem_strands_reserved,
+                  deposit_mints_zero, settle_clock_regression,
+                  liquidate_clock_regression, deposit_clock_regression):
         engine, call, error = build()
         before = fingerprint(engine)
         with pytest.raises(error):
             call()
         assert fingerprint(engine) == before, build.__name__
+        if error is not ClockRegression:
+            # the test has teeth: accruing alone changes the fingerprint
+            engine.accrue(LATER)
+            assert fingerprint(engine) != before, build.__name__
+
+
+def test_calls_do_not_copy_the_book():
+    """Peak allocation of a call does not grow with open positions.
+
+    10**4 positions leave the positions dict short of its next resize (at
+    10,922 entries), so even a successful open allocates no new table.
+    """
+    engine = make_engine()
+    engine.vault.deposit("lp", U(10**8))
+    for _ in range(10**4):
+        open_position(engine)
+    assert len(engine.positions) == 10**4
+
+    def peak_bytes(call, error=None) -> int:
+        tracemalloc.start()
+        try:
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    too_big = pending_open(engine, size=U(2 * 10**8), collateral=U(2 * 10**7))
+    assert peak_bytes(lambda: engine.settle_order(too_big, 0),
+                      InsufficientLiquidity) < 64 * 1024
+    assert peak_bytes(lambda: engine.liquidate(1, 0), NotLiquidatable) < 64 * 1024
+    assert peak_bytes(lambda: open_position(engine)) < 64 * 1024
+    assert len(engine.positions) == 10**4 + 1
 
 
 # -- LP flows and fee routing ---------------------------------------------------------
