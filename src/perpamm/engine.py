@@ -22,7 +22,9 @@ and no call copies state to get there.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .curves import (
     BaseFeeParams,
@@ -188,8 +190,10 @@ def accrue_fees(pool: PoolState, cfg: MarketConfig, now: int) -> PoolState:
         idx_short += (rate_short / 100.0) * year_frac
     elif pool.reserved > 0:
         raise InsolventVault("open positions with an empty pool")
-    return replace(pool, cum_fee_index_long=idx_long, cum_fee_index_short=idx_short,
-                   last_accrual_time=now)
+    return PoolState(pool_value=pool.pool_value, reserved=pool.reserved,
+                     long_oi=pool.long_oi, short_oi=pool.short_oi,
+                     cum_fee_index_long=idx_long, cum_fee_index_short=idx_short,
+                     last_accrual_time=now)
 
 
 def _side_index(pool: PoolState, direction: Direction) -> float:
@@ -219,14 +223,31 @@ def check_liquidation(pos: Position, pool: PoolState, cfg: MarketConfig,
     return equity * 100 * UNIT_SCALE <= cfg.maintenance_margin_rate * pos.size
 
 
+def _fires_at_or_below(kind: OrderKind, direction: Direction) -> bool | None:
+    """Which side of its trigger price an order fires on.
+
+    True: at marks at or below the trigger (long limit opens, long
+    stop-losses, short take-profits). False: at marks at or above it (short
+    limit opens, short stop-losses, long take-profits). None: market kinds,
+    which never trigger.
+    """
+    if kind is OrderKind.STOP_LOSS or kind is OrderKind.LIMIT_OPEN:
+        return direction is Direction.LONG
+    if kind is OrderKind.TAKE_PROFIT:
+        return direction is Direction.SHORT
+    return None
+
+
+_PRICE = itemgetter(0)   # the trigger price of a trigger-book entry
+
+
 def trigger_met(kind: OrderKind, direction: Direction, trigger_price: int,
                 mark: int) -> bool:
     """Touch-inclusive trigger rule for limit/stop-loss/take-profit orders."""
-    if kind is OrderKind.STOP_LOSS or kind is OrderKind.LIMIT_OPEN:
-        return mark <= trigger_price if direction is Direction.LONG else mark >= trigger_price
-    if kind is OrderKind.TAKE_PROFIT:
-        return mark >= trigger_price if direction is Direction.LONG else mark <= trigger_price
-    return False
+    below = _fires_at_or_below(kind, direction)
+    if below is None:
+        return False
+    return mark <= trigger_price if below else mark >= trigger_price
 
 
 # -- The engine ----------------------------------------------------------------
@@ -265,6 +286,10 @@ class Engine:
         self.positions: dict[int, Position] = {}
         self.orders: dict[int, Order] = {}
         self.escrow: dict[int, int] = {}
+        # pending trigger orders as sorted (trigger_price, order_id), derived
+        # from `orders` and updated only where it changes
+        self._fires_below: list[tuple[int, int]] = []
+        self._fires_above: list[tuple[int, int]] = []
         self._next_order_id = 1
         self._next_position_id = 1
 
@@ -377,13 +402,30 @@ class Engine:
         self.orders[order_id] = order
         if kind in OPEN_KINDS:
             self.escrow[order_id] = collateral
+        book = self._trigger_book(order)
+        if book is not None:
+            insort(book, (trigger_price, order_id))
         return order_id
 
     def cancel_order(self, order_id: int, now: int) -> int:
-        if order_id not in self.orders:
+        order = self.orders.get(order_id)
+        if order is None:
             raise UnknownOrder(f"no pending order {order_id}")
-        del self.orders[order_id]
-        return self.escrow.pop(order_id, 0)
+        return self._remove_order(order)
+
+    def _trigger_book(self, order: Order) -> list[tuple[int, int]] | None:
+        below = _fires_at_or_below(order.kind, order.direction)
+        if below is None:
+            return None
+        return self._fires_below if below else self._fires_above
+
+    def _remove_order(self, order: Order) -> int:
+        """Drop a pending order from the book; returns its escrow (0 for closes)."""
+        del self.orders[order.order_id]
+        book = self._trigger_book(order)
+        if book is not None:
+            del book[bisect_left(book, (order.trigger_price, order.order_id))]
+        return self.escrow.pop(order.order_id, 0)
 
     # -- settlement --------------------------------------------------------------------
 
@@ -449,8 +491,7 @@ class Engine:
             assert pos is not None
             receipt = self._execute_close(pos, exec_price, pool,
                                           charge_close_fee=True)
-        del self.orders[order_id]
-        self.escrow.pop(order_id, None)
+        self._remove_order(order)
         return receipt
 
     def _execute_open(self, order: Order, exec_price: int,
@@ -549,11 +590,15 @@ class Engine:
     # -- triggers ------------------------------------------------------------------------
 
     def evaluate_triggers(self, mark_price: int) -> list[int]:
-        """Ids of pending trigger orders whose condition holds at the mark.
+        """Ids of pending trigger orders whose condition holds at the mark, in id order.
 
-        Ids are handed out increasing and each is inserted once, so dict
-        order is id order. Market kinds never meet a trigger.
+        The trigger book is two lists of (trigger_price, order_id) sorted by
+        price, split by `_fires_at_or_below`. The orders ready at a mark are
+        a suffix of the first list (trigger >= mark) and a prefix of the
+        second (trigger <= mark), so one bisect per list finds them and no
+        other order is read: O(log n) plus sorting the ready ids. Market
+        kinds are in neither list and never returned.
         """
-        return [order_id for order_id, order in self.orders.items()
-                if trigger_met(order.kind, order.direction, order.trigger_price,
-                               mark_price)]
+        below = self._fires_below[bisect_left(self._fires_below, mark_price, key=_PRICE):]
+        above = self._fires_above[:bisect_right(self._fires_above, mark_price, key=_PRICE)]
+        return sorted([order_id for _, order_id in below + above])

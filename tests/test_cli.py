@@ -78,6 +78,8 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("base_fee", ["--params", '{"k_b": [0.01, "abc"]}'], "InvalidGrid"),
     ("base_fee", ["--params", '{"k_b": null}'], "InvalidGrid"),
     ("base_fee", ["--params", '{"k_b": 0.01, "c_b": true}'], "InvalidGrid"),
+    ("base_fee", ["--params", '{"k_b": 1, "zzz": 1}'], "InvalidGrid"),
+    ("base_fee", ["--params", '{"k_b": 1, "cb": 1}'], "InvalidGrid"),   # misspelt c_b
 ])
 def test_curves_non_finite_or_overflowing_input_is_one_error_line(
         tmp_path, capsys, kind, flags, code):

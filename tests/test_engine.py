@@ -7,10 +7,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import perpamm.engine
 from conftest import feed_both, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DeviationParams, DynamicFeeParams
 from perpamm.engine import (
+    OPEN_KINDS,
+    TRIGGER_KINDS,
     Direction,
     Engine,
     OrderKind,
@@ -33,6 +38,7 @@ from perpamm.errors import (
     LeverageExceeded,
     NotLiquidatable,
     OpenInterestCapExceeded,
+    ProtocolError,
     SlippageExceeded,
     StaleFeed,
     TriggerNotMet,
@@ -525,6 +531,116 @@ def test_settling_untriggered_order_fails(engine):
     assert receipt.executed_price == U(1890)
 
 
+# A few prices a unit apart, so trigger prices repeat and marks land on,
+# just beside and far from them.
+TRIGGER_PRICES = [U(1990), U(2000) - 1, U(2000), U(2000) + 1, U(2010)]
+
+create_step = st.tuples(st.just("create"), st.sampled_from(list(OrderKind)),
+                        st.sampled_from(list(Direction)),
+                        st.sampled_from(TRIGGER_PRICES), st.integers(0, 50))
+cancel_step = st.tuples(st.just("cancel"), st.integers(0, 50))
+settle_step = st.tuples(st.just("settle"), st.integers(0, 50),
+                        st.sampled_from(TRIGGER_PRICES))
+
+
+def brute_force_triggers(engine, mark):
+    return [oid for oid, o in engine.orders.items()
+            if trigger_met(o.kind, o.direction, o.trigger_price, mark)]
+
+
+def pick_order(engine, ref):
+    """A pending order's id, or an unknown id when ref is 0 or none is pending."""
+    oids = sorted(engine.orders)
+    return oids[ref % len(oids)] if ref and oids else 10**6
+
+
+def probe_marks(engine):
+    prices = {o.trigger_price for o in engine.orders.values()} | set(TRIGGER_PRICES)
+    marks = {p + d for p in prices for d in (-1, 0, 1)}
+    return sorted(marks | {1, U(10**9)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.one_of(create_step, create_step, cancel_step, settle_step,
+                                settle_step), min_size=10, max_size=60))
+def test_trigger_index_matches_brute_force(steps):
+    """After any interleaving of creates, cancels and settles, the trigger
+    book answers like a scan of every pending order, at and beside every
+    trigger price and far from all of them; a failed settle moves neither."""
+    engine = make_engine()
+    engine.vault.deposit("lp", U(10**6))
+    for t, step in enumerate(steps, start=1):
+        if step[0] == "create":
+            _, kind, direction, price, ref = step
+            trigger = kind in TRIGGER_KINDS
+            fields = dict(trigger_price=price if trigger else 0,
+                          acceptable_price=0 if trigger else U(2000),
+                          max_slippage=U(100))
+            if kind in OPEN_KINDS:
+                fields.update(size=U(10), collateral=U(10))
+            else:
+                # an open position (of either direction) or an unknown one
+                pids = sorted(engine.positions) + [999]
+                fields.update(position_id=pids[ref % len(pids)])
+            engine.create_order("t", kind, direction, t, **fields)
+        elif step[0] == "cancel":
+            oid = pick_order(engine, step[1])
+            if oid in engine.orders:
+                engine.cancel_order(oid, t)
+            else:
+                with pytest.raises(UnknownOrder):
+                    engine.cancel_order(oid, t)
+        else:
+            _, ref, price = step
+            feed_both(engine, price, t)
+            oid = pick_order(engine, ref)
+            marks = probe_marks(engine)
+            before = (dict(engine.orders), [engine.evaluate_triggers(m) for m in marks])
+            try:
+                engine.settle_order(oid, t)
+            except ProtocolError:
+                after = (dict(engine.orders), [engine.evaluate_triggers(m) for m in marks])
+                assert after == before
+            else:
+                assert oid not in engine.orders
+        for mark in probe_marks(engine):
+            assert engine.evaluate_triggers(mark) == brute_force_triggers(engine, mark)
+
+
+def test_evaluate_triggers_reads_only_ready_orders(monkeypatch):
+    """10**4 resting triggers the mark has not crossed cost no trigger checks."""
+    engine = make_engine()
+    far = [(OrderKind.LIMIT_OPEN, Direction.LONG, U(1000)),
+           (OrderKind.LIMIT_OPEN, Direction.SHORT, U(3000)),
+           (OrderKind.STOP_LOSS, Direction.LONG, U(1000)),
+           (OrderKind.STOP_LOSS, Direction.SHORT, U(3000)),
+           (OrderKind.TAKE_PROFIT, Direction.LONG, U(3000)),
+           (OrderKind.TAKE_PROFIT, Direction.SHORT, U(1000))]
+    for i in range(10**4):
+        kind, direction, trigger = far[i % len(far)]
+        if kind is OrderKind.LIMIT_OPEN:
+            engine.create_order("t", kind, direction, 0, size=U(10), collateral=U(10),
+                                trigger_price=trigger)
+        else:
+            engine.create_order("t", kind, direction, 0, position_id=1,
+                                trigger_price=trigger)
+    calls = 0
+    original = perpamm.engine.trigger_met
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(perpamm.engine, "trigger_met", counting)
+    assert engine.evaluate_triggers(U(2000)) == []
+    assert calls <= 8
+    ready = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
+                                position_id=1, trigger_price=U(2000))
+    assert engine.evaluate_triggers(U(2000)) == [ready]
+    assert calls <= 1 + 8
+
+
 # -- Atomicity under fault injection ------------------------------------------------
 
 def fingerprint(engine: Engine):
@@ -535,6 +651,7 @@ def fingerprint(engine: Engine):
         engine.cum_fee_index_long, engine.cum_fee_index_short,
         engine.last_accrual_time, engine.treasury,
         engine._next_order_id, engine._next_position_id,
+        list(engine._fires_below), list(engine._fires_above),
     )
 
 
