@@ -113,6 +113,6 @@ def load_market_config(path: str) -> MarketConfig:
             raw = json.load(fh, parse_float=Decimal, parse_int=int)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON or text, or an int past int()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_market_config(raw)

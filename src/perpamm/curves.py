@@ -15,6 +15,7 @@ value returned here is quantized to nine fractional decimal digits
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -103,12 +104,18 @@ def compute_skew(long_oi, short_oi, pool_value) -> float:
 
 # -- Quoting -----------------------------------------------------------------
 
+# Wide enough to hold price * (1 +/- delta/100) exactly for every price dec9
+# accepts (at most 50 digits) and every delta below 100 with nine fractional
+# digits (at most 11 digits): the sum has at most 62 significant digits.
+_EXACT = decimal.Context(prec=80)
+
+
 def _deviated(price: Decimal, delta_pct: Decimal) -> tuple[Decimal, Decimal]:
-    """Apply +/-delta% to a price; exact Decimal arithmetic, 9-digit results."""
+    """Apply +/-delta% to a 9-digit price; exact arithmetic, one rounding to 9 digits."""
     if delta_pct >= 100:
         raise QuoteError(f"deviation {delta_pct}% leaves no positive short quote")
-    shift = price * delta_pct / 100
-    return dec9(price + shift), dec9(price - shift)
+    shift = _EXACT.divide(_EXACT.multiply(price, delta_pct), 100)
+    return dec9(_EXACT.add(price, shift)), dec9(_EXACT.subtract(price, shift))
 
 
 def quote_price_decimals(price: Decimal, u: float, p: DeviationParams) -> tuple[Decimal, Decimal]:
@@ -133,21 +140,22 @@ def quote_prices_units(price_units: int, u: float, p: DeviationParams) -> tuple[
 
 def total_borrow_rates(
     u: float,
+    skew: float,
     long_oi,
     short_oi,
-    pool_value,
     base: BaseFeeParams,
     dyn: DynamicFeeParams,
 ) -> tuple[float, float]:
-    """Annualized (long, short) borrow rates in percent.
+    """Annualized (long, short) borrow rates in percent at utilization u and skew.
 
     Both sides pay the base fee; only the side with strictly greater open
-    interest additionally pays the dynamic fee.
+    interest additionally pays the dynamic fee, evaluated at `skew` (see
+    :func:`compute_skew`).
     """
     fb = eval_base_fee(u, base)
     if long_oi == short_oi:
         return fb, fb
-    fd = eval_dynamic_fee(compute_skew(long_oi, short_oi, pool_value), dyn)
+    fd = eval_dynamic_fee(skew, dyn)
     if long_oi > short_oi:
         return fb + fd, fb
     return fb, fb + fd

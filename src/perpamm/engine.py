@@ -2,7 +2,10 @@
 
 One engine serves one market backed by one LP vault: the pool value *is*
 the vault's total assets, and `reserved` is the gross notional of open
-positions, so utilization = reserved / vault assets.
+positions, so utilization = reserved / vault assets. The engine holds the
+rest of the pool once, as the frozen `Engine.pool`: open interest per side,
+the two fee indices and the last accrual time; `reserved` is derived from
+the open interest, never stored.
 
 All monetary state is integer base units (1e-6). Borrow fees accrue lazily
 through per-side cumulative indices: every state-mutating entry point first
@@ -12,11 +15,12 @@ Indices accumulate in raw binary64 (quantizing each increment would break
 split-vs-single-step accrual equivalence); the rates feeding them are
 9-digit-quantized curve outputs.
 
-Every mutating method is atomic by construction: it computes the accrued
-pool, fees, open interest and the vault's net flow in locals, runs every
-check, and writes only after the last one. A raised error therefore leaves
-the engine, vault included, bit-identical to its state before the call,
-and no call copies state to get there.
+Every mutating method is atomic by construction: it builds the next pool
+(fees accrued, open interest moved), the fees and the vault's net flow in
+locals, runs every check, and only then writes: it assigns `self.pool`
+once, then the treasury, the vault and the books. A raised error therefore
+leaves the engine, vault included, bit-identical to its state before the
+call, and no call copies state to get there.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .curves import (
     BaseFeeParams,
     DeviationParams,
     DynamicFeeParams,
+    compute_skew,
     quote_prices_units,
     total_borrow_rates,
 )
@@ -75,7 +80,6 @@ class OrderKind(enum.Enum):
 
 
 OPEN_KINDS = frozenset({OrderKind.MARKET_OPEN, OrderKind.LIMIT_OPEN})
-CLOSE_KINDS = frozenset({OrderKind.MARKET_CLOSE, OrderKind.STOP_LOSS, OrderKind.TAKE_PROFIT})
 TRIGGER_KINDS = frozenset({OrderKind.LIMIT_OPEN, OrderKind.STOP_LOSS, OrderKind.TAKE_PROFIT})
 
 
@@ -110,20 +114,24 @@ class MarketConfig:
 
 @dataclass(frozen=True)
 class PoolState:
-    pool_value: int
-    reserved: int
+    """The pool apart from its value, which the vault owns (`total_assets`)."""
+
     long_oi: int
     short_oi: int
     cum_fee_index_long: float
     cum_fee_index_short: float
     last_accrual_time: int
 
+    @property
+    def reserved(self) -> int:
+        """Gross notional of open positions."""
+        return self.long_oi + self.short_oi
+
 
 @dataclass(frozen=True)
 class Position:
     position_id: int
     owner: str
-    market_id: str
     direction: Direction
     size: int
     collateral: int
@@ -135,7 +143,6 @@ class Position:
 class Order:
     order_id: int
     owner: str
-    market_id: str
     kind: OrderKind
     direction: Direction
     size: int
@@ -144,7 +151,6 @@ class Order:
     max_slippage: int      # percent, base units
     trigger_price: int     # 0 unless a trigger kind
     position_id: int | None
-    created_at: int
 
 
 @dataclass(frozen=True)
@@ -159,19 +165,32 @@ class SettlementReceipt:
 
 # -- Pure state operations ----------------------------------------------------
 
-def utilization_pct(pool: PoolState) -> float:
+def utilization_pct(pool: PoolState, pool_value: int) -> float:
     """Utilization 100*reserved/pool_value in percent, 9-digit quantized."""
-    if pool.pool_value <= 0:
+    if pool_value <= 0:
         raise DomainError("pool value must be positive")
-    return quantize9(100.0 * float(pool.reserved) / float(pool.pool_value))
+    return quantize9(100.0 * float(pool.reserved) / float(pool_value))
 
 
-def accrue_fees(pool: PoolState, cfg: MarketConfig, now: int) -> PoolState:
+def pool_metrics(pool: PoolState, pool_value: int,
+                 cfg: MarketConfig) -> tuple[float, float, float, float]:
+    """(utilization, skew, long rate, short rate) in percent; zeros for an empty pool."""
+    if pool_value <= 0:
+        return 0.0, 0.0, 0.0, 0.0
+    u = utilization_pct(pool, pool_value)
+    skew = compute_skew(pool.long_oi, pool.short_oi, pool_value)
+    rate_long, rate_short = total_borrow_rates(
+        u, skew, pool.long_oi, pool.short_oi, cfg.base_fee, cfg.dynamic_fee)
+    return u, skew, rate_long, rate_short
+
+
+def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
+                now: int) -> PoolState:
     """Roll both cumulative fee indices forward to `now`.
 
     Rates are evaluated once at the pre-accrual state, so the result over
     [t0, t2] equals accruing [t0, t1] then [t1, t2] when nothing else
-    changes in between.
+    changes in between. At dt == 0 the same pool object comes back.
     """
     if now < pool.last_accrual_time:
         raise ClockRegression(
@@ -179,21 +198,25 @@ def accrue_fees(pool: PoolState, cfg: MarketConfig, now: int) -> PoolState:
     dt = now - pool.last_accrual_time
     if dt == 0:
         return pool
-    idx_long = pool.cum_fee_index_long
-    idx_short = pool.cum_fee_index_short
-    if pool.pool_value > 0:
-        rate_long, rate_short = total_borrow_rates(
-            utilization_pct(pool), pool.long_oi, pool.short_oi, pool.pool_value,
-            cfg.base_fee, cfg.dynamic_fee)
-        year_frac = dt / SECONDS_PER_YEAR
-        idx_long += (rate_long / 100.0) * year_frac
-        idx_short += (rate_short / 100.0) * year_frac
-    elif pool.reserved > 0:
+    if pool_value <= 0 and pool.reserved > 0:
         raise InsolventVault("open positions with an empty pool")
-    return PoolState(pool_value=pool.pool_value, reserved=pool.reserved,
-                     long_oi=pool.long_oi, short_oi=pool.short_oi,
-                     cum_fee_index_long=idx_long, cum_fee_index_short=idx_short,
-                     last_accrual_time=now)
+    _, _, rate_long, rate_short = pool_metrics(pool, pool_value, cfg)
+    year_frac = dt / SECONDS_PER_YEAR
+    return PoolState(pool.long_oi, pool.short_oi,
+                     pool.cum_fee_index_long + (rate_long / 100.0) * year_frac,
+                     pool.cum_fee_index_short + (rate_short / 100.0) * year_frac,
+                     now)
+
+
+def _add_oi(pool: PoolState, direction: Direction, amount: int) -> PoolState:
+    """The pool with `amount` added to one side's open interest."""
+    long_oi, short_oi = pool.long_oi, pool.short_oi
+    if direction is Direction.LONG:
+        long_oi += amount
+    else:
+        short_oi += amount
+    return PoolState(long_oi, short_oi, pool.cum_fee_index_long,
+                     pool.cum_fee_index_short, pool.last_accrual_time)
 
 
 def _side_index(pool: PoolState, direction: Direction) -> float:
@@ -276,12 +299,7 @@ class Engine:
         self.primary_feed = primary_feed
         self.secondary_feed = secondary_feed
 
-        self.reserved = 0
-        self.long_oi = 0
-        self.short_oi = 0
-        self.cum_fee_index_long = 0.0
-        self.cum_fee_index_short = 0.0
-        self.last_accrual_time = 0
+        self.pool = PoolState(0, 0, 0.0, 0.0, 0)
         self.treasury = 0
         self.positions: dict[int, Position] = {}
         self.orders: dict[int, Order] = {}
@@ -295,26 +313,6 @@ class Engine:
 
     # -- state views ------------------------------------------------------------
 
-    def pool_state(self) -> PoolState:
-        return PoolState(
-            pool_value=self.vault.total_assets,
-            reserved=self.reserved,
-            long_oi=self.long_oi,
-            short_oi=self.short_oi,
-            cum_fee_index_long=self.cum_fee_index_long,
-            cum_fee_index_short=self.cum_fee_index_short,
-            last_accrual_time=self.last_accrual_time,
-        )
-
-    def borrow_rates(self) -> tuple[float, float]:
-        """Current annualized (long, short) rates; (0, 0) for an empty pool."""
-        pool = self.pool_state()
-        if pool.pool_value <= 0:
-            return 0.0, 0.0
-        return total_borrow_rates(
-            utilization_pct(pool), pool.long_oi, pool.short_oi, pool.pool_value,
-            self.config.base_fee, self.config.dynamic_fee)
-
     def escrow_total(self) -> int:
         return sum(self.escrow.values())
 
@@ -325,29 +323,23 @@ class Engine:
 
     def _accrued(self, now: int) -> PoolState:
         """The pool with fees accrued to `now`; writes nothing."""
-        return accrue_fees(self.pool_state(), self.config, now)
-
-    def _commit(self, pool: PoolState) -> None:
-        """Write an accrued pool's indices and time; runs after a call's last check."""
-        self.cum_fee_index_long = pool.cum_fee_index_long
-        self.cum_fee_index_short = pool.cum_fee_index_short
-        self.last_accrual_time = pool.last_accrual_time
+        return accrue_fees(self.pool, self.vault.total_assets, self.config, now)
 
     def accrue(self, now: int) -> None:
-        self._commit(self._accrued(now))
+        self.pool = self._accrued(now)
 
     # -- LP flows --------------------------------------------------------------------
 
     def lp_deposit(self, account: str, assets: int, now: int) -> int:
         pool = self._accrued(now)
         shares = self.vault.deposit(account, assets)
-        self._commit(pool)
+        self.pool = pool
         return shares
 
     def lp_redeem(self, account: str, shares: int, now: int) -> int:
         pool = self._accrued(now)
-        assets = self.vault.redeem(account, shares, locked=self.reserved)
-        self._commit(pool)
+        assets = self.vault.redeem(account, shares, locked=pool.reserved)
+        self.pool = pool
         return assets
 
     # -- order lifecycle ---------------------------------------------------------------
@@ -395,9 +387,8 @@ class Engine:
             if position_id is None:
                 raise DomainError("close orders need a position_id")
         order_id = self._next_order_id
-        order = Order(order_id, owner, self.config.market_id, kind, direction,
-                      size, collateral, acceptable_price, max_slippage,
-                      trigger_price, position_id, now)
+        order = Order(order_id, owner, kind, direction, size, collateral,
+                      acceptable_price, max_slippage, trigger_price, position_id)
         self._next_order_id += 1
         self.orders[order_id] = order
         if kind in OPEN_KINDS:
@@ -456,8 +447,8 @@ class Engine:
         if order is None:
             raise UnknownOrder(f"no pending order {order_id}")
         pool = self._accrued(now)
-        pos: Position | None = None
-        if order.kind in CLOSE_KINDS:
+        opening = order.kind in OPEN_KINDS
+        if not opening:
             pos = self.positions.get(order.position_id)  # type: ignore[arg-type]
             if pos is None:
                 raise UnknownPosition(f"no open position {order.position_id}")
@@ -467,32 +458,37 @@ class Engine:
                 raise DomainError("order direction does not match the position")
             if order.size and order.size != pos.size:
                 raise DomainError("partial closes are not supported")
-            side = TradeSide.SELL if pos.direction is Direction.LONG else TradeSide.BUY
-        else:
-            side = TradeSide.BUY if order.direction is Direction.LONG else TradeSide.SELL
+        # opening a long or closing a short buys; the other two sell
+        buying = (order.direction is Direction.LONG) == opening
+        side = TradeSide.BUY if buying else TradeSide.SELL
         mark = self._aggregate_mark(side, now)
         if order.kind in TRIGGER_KINDS and not trigger_met(
                 order.kind, order.direction, order.trigger_price, mark):
             raise TriggerNotMet(f"order {order_id} trigger not met at {mark}")
 
         long_q, short_q = quote_prices_units(
-            mark, utilization_pct(pool), self.config.deviation)
-        if order.kind in OPEN_KINDS:
-            exec_price = long_q if order.direction is Direction.LONG else short_q
-        else:
-            # closes consume the opposite quote side (bid/ask behavior)
-            exec_price = short_q if order.direction is Direction.LONG else long_q
+            mark, utilization_pct(pool, self.vault.total_assets), self.config.deviation)
+        # buys take the long (ask) quote, sells the short (bid) quote
+        exec_price = long_q if buying else short_q
         self._check_slippage(side, exec_price, order.acceptable_price,
                              order.max_slippage)
 
-        if order.kind in OPEN_KINDS:
+        if opening:
             receipt = self._execute_open(order, exec_price, pool)
         else:
-            assert pos is not None
             receipt = self._execute_close(pos, exec_price, pool,
                                           charge_close_fee=True)
         self._remove_order(order)
         return receipt
+
+    def _write_settlement(self, pool: PoolState, cut: int, net: int) -> None:
+        """A settlement's writes after its last check: pool, treasury cut, vault flow."""
+        self.pool = pool
+        self.treasury += cut
+        if net >= 0:
+            self.vault.credit(net)
+        else:
+            self.vault.debit(-net)
 
     def _execute_open(self, order: Order, exec_price: int,
                       pool: PoolState) -> SettlementReceipt:
@@ -501,31 +497,22 @@ class Engine:
         if net_collateral <= 0:
             raise InsufficientCollateral("open fee consumes the entire collateral")
         cut = self._treasury_cut(fee)
-        long_oi, short_oi = pool.long_oi, pool.short_oi
-        if order.direction is Direction.LONG:
-            long_oi += order.size
-            side_oi = long_oi
-        else:
-            short_oi += order.size
-            side_oi = short_oi
+        after = _add_oi(pool, order.direction, order.size)
+        side_oi = after.long_oi if order.direction is Direction.LONG else after.short_oi
         if side_oi > self.config.max_open_interest:
             raise OpenInterestCapExceeded(
                 f"open interest {side_oi} above cap {self.config.max_open_interest}")
-        if abs(long_oi - short_oi) > self.config.max_exposure:
+        if abs(after.long_oi - after.short_oi) > self.config.max_exposure:
             raise ExposureCapExceeded(
                 f"net exposure above cap {self.config.max_exposure}")
-        reserved = pool.reserved + order.size
         # the vault's share of the fee counts toward the pool that backs the reservation
-        if reserved > pool.pool_value + fee - cut:
+        if after.reserved > self.vault.total_assets + fee - cut:
             raise InsufficientLiquidity("pool too small to reserve this notional")
 
-        self._commit(pool)
-        self.treasury += cut
-        self.vault.credit(fee - cut)
-        self.long_oi, self.short_oi, self.reserved = long_oi, short_oi, reserved
-        position = Position(self._next_position_id, order.owner, order.market_id,
-                            order.direction, order.size, net_collateral,
-                            exec_price, _side_index(pool, order.direction))
+        self._write_settlement(after, cut, fee - cut)
+        position = Position(self._next_position_id, order.owner, order.direction,
+                            order.size, net_collateral, exec_price,
+                            _side_index(pool, order.direction))
         self.positions[position.position_id] = position
         self._next_position_id += 1
         return SettlementReceipt(executed_price=exec_price, open_close_fee=fee,
@@ -553,22 +540,14 @@ class Engine:
         # trader profit so a payable settlement never trips insolvency)
         cut = self._treasury_cut(borrow_collected + close_fee + liq_fee)
         net = pos.collateral - payout - cut
-        # reserved - size >= 0, so this also rules out a debit beyond the vault's assets
-        if pool.pool_value + net < pool.reserved - pos.size:
+        after = _add_oi(pool, pos.direction, -pos.size)
+        # reserved after the close is >= 0, so this also rules out a debit
+        # beyond the vault's assets
+        if self.vault.total_assets + net < after.reserved:
             raise InsolventVault("pool below reserved liquidity after payout")
 
-        self._commit(pool)
-        self.treasury += cut
-        if net >= 0:
-            self.vault.credit(net)
-        else:
-            self.vault.debit(-net)
+        self._write_settlement(after, cut, net)
         del self.positions[pos.position_id]
-        if pos.direction is Direction.LONG:
-            self.long_oi -= pos.size
-        else:
-            self.short_oi -= pos.size
-        self.reserved -= pos.size
         return SettlementReceipt(executed_price=exec_price, open_close_fee=close_fee,
                                  borrow_fee_paid=borrow_collected, realized_pnl=pnl,
                                  liquidation_fee=liq_fee, payout=payout)

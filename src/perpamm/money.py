@@ -22,6 +22,9 @@ SECONDS_PER_YEAR = 31_536_000   # 365-day year for annualized-rate conversion
 
 _NINE = Decimal("1e-9")
 _CTX = decimal.Context(prec=50, rounding=decimal.ROUND_HALF_EVEN)
+# exact for every finite Decimal: never rounds, overflows or underflows
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN)
 
 
 # -- Integer rounding ----------------------------------------------------------
@@ -44,29 +47,43 @@ def pct_of(amount: int, pct_units: int) -> int:
 
 # -- Base-unit conversion --------------------------------------------------------
 
+# Largest amount, in base units, an input may carry: 10**24 whole units. Sums
+# of such amounts stay far inside binary64 range when the engine divides them
+# as floats (utilization, skew).
+MAX_UNITS = 10**30
+_MAX_WHOLE = MAX_UNITS // UNIT_SCALE
+_MAX_WHOLE_DEC = Decimal(_MAX_WHOLE)
+
+
 def to_units(value) -> int:
     """Convert a decimal-like value to integer base units.
 
     Strings and Decimals convert exactly and must not carry more than six
     fractional digits; floats are rounded half-even at the 1e-6 tick.
+    Non-finite values and amounts beyond +/-MAX_UNITS are a ConfigError.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
         raise ConfigError(f"not a numeric amount: {value!r}")
     if isinstance(value, int):
+        if abs(value) > _MAX_WHOLE:
+            raise ConfigError(f"amount beyond {MAX_UNITS} base units: {value!r}")
         return value * UNIT_SCALE
+    try:
+        amount = Decimal(value)
+    except decimal.InvalidOperation:
+        raise ConfigError(f"not a decimal amount: {value!r}") from None
+    if not amount.is_finite():
+        raise ConfigError(f"not a finite amount: {value!r}")
+    # copy_abs and the comparison use no context, so no exponent can overflow
+    if amount.copy_abs() > _MAX_WHOLE_DEC:
+        raise ConfigError(f"amount beyond {MAX_UNITS} base units: {value!r}")
     if isinstance(value, float):
-        return int(_CTX.multiply(Decimal(value), UNIT_SCALE).to_integral_value(
+        return int(_CTX.multiply(amount, UNIT_SCALE).to_integral_value(
             rounding=decimal.ROUND_HALF_EVEN))
-    if isinstance(value, (str, Decimal)):
-        try:
-            d = Decimal(value)
-        except decimal.InvalidOperation:
-            raise ConfigError(f"not a decimal amount: {value!r}") from None
-        scaled = _CTX.multiply(d, UNIT_SCALE)
-        if scaled != scaled.to_integral_value():
-            raise ConfigError(f"more than 6 fractional digits: {value!r}")
-        return int(scaled)
-    raise ConfigError(f"not a numeric amount: {value!r}")
+    scaled = _EXACT.multiply(amount, UNIT_SCALE)
+    if scaled != scaled.to_integral_value():
+        raise ConfigError(f"more than 6 fractional digits: {value!r}")
+    return int(scaled)
 
 
 def units_to_decimal(units: int) -> Decimal:

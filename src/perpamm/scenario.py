@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .config import load_market_config
-from .curves import compute_skew
-from .engine import CLOSE_KINDS, Direction, Engine, OrderKind, utilization_pct
+from .engine import Direction, Engine, OrderKind, pool_metrics
 from .errors import InsolventVault, NotLiquidatable, ProtocolError, ScenarioError
 from .money import format9, format_units, to_units
 from .oracle import PricePoint, load_trace
@@ -211,7 +210,7 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh, parse_float=Decimal, parse_int=int)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON or text, or an int past int()'s digit limit
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     return parse_scenario(raw)
 
@@ -269,16 +268,11 @@ class _Runner:
 
     def _snapshot(self, time: int) -> None:
         engine = self.engine
-        pool = engine.pool_state()
-        if pool.pool_value > 0:
-            utilization = utilization_pct(pool)
-            skew = compute_skew(pool.long_oi, pool.short_oi, pool.pool_value)
-        else:
-            utilization = 0.0
-            skew = 0.0
-        rate_long, rate_short = engine.borrow_rates()
+        pool, pool_value = engine.pool, engine.vault.total_assets
+        utilization, skew, rate_long, rate_short = pool_metrics(
+            pool, pool_value, engine.config)
         self.snapshots.append(SnapshotRow(
-            time=time, pool_value=pool.pool_value, reserved=pool.reserved,
+            time=time, pool_value=pool_value, reserved=pool.reserved,
             long_oi=pool.long_oi, short_oi=pool.short_oi,
             utilization=utilization, skew=skew,
             borrow_rate_long=rate_long, borrow_rate_short=rate_short,
@@ -405,7 +399,7 @@ class _Runner:
         order_id = self.engine.create_order(
             action.actor, kind, direction, action.time,
             position_id=position_id, **kwargs)
-        collateral = kwargs.get("collateral", 0) if kind not in CLOSE_KINDS else 0
+        collateral = self.engine.escrow.get(order_id, 0)
         self.cash[action.actor] -= collateral
         self._emit(action.time, action.actor, action.kind, "ok",
                    order_id=order_id,

@@ -271,7 +271,7 @@ def test_criterion_06_conservation_scenario(tmp_path):
         for snap in result.snapshots:
             assert snap.reserved == snap.long_oi + snap.short_oi
             assert snap.reserved <= snap.pool_value
-        assert engine.reserved == engine.long_oi + engine.short_oi
+        assert engine.pool.reserved == engine.pool.long_oi + engine.pool.short_oi
         assert settlements > 100             # the scenario actually traded
         liquidations = sum(1 for r in result.receipts
                            if r.action == "liquidate_check" and r.status == "ok")
@@ -290,14 +290,14 @@ def test_criterion_07_accrual_oracle_equivalence():
             pool_value = U(rng.randint(1_000, 1_000_000))
             long_oi = U(rng.randint(0, 500))
             short_oi = U(rng.randint(0, 500))
-            state = PoolState(pool_value=pool_value, reserved=long_oi + short_oi,
-                              long_oi=long_oi, short_oi=short_oi,
+            state = PoolState(long_oi=long_oi, short_oi=short_oi,
                               cum_fee_index_long=0.0, cum_fee_index_short=0.0,
                               last_accrual_time=0)
             total = rng.randint(2, 10_000_000)
             cut = rng.randint(1, total - 1)
-            one = accrue_fees(state, cfg, total)
-            two = accrue_fees(accrue_fees(state, cfg, cut), cfg, total)
+            one = accrue_fees(state, pool_value, cfg, total)
+            two = accrue_fees(accrue_fees(state, pool_value, cfg, cut), pool_value, cfg,
+                              total)
             for a, b in ((one.cum_fee_index_long, two.cum_fee_index_long),
                          (one.cum_fee_index_short, two.cum_fee_index_short)):
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1e-30)
@@ -329,11 +329,9 @@ def test_criterion_07_accrual_oracle_equivalence():
 def test_criterion_08_liquidation_boundary_bisection():
     with criterion(8, "liquidation flip between marks 1820 and 1822"):
         cfg = make_config()
-        pool = PoolState(pool_value=U(10_000), reserved=U(1000), long_oi=U(1000),
-                         short_oi=0, cum_fee_index_long=0.0,
+        pool = PoolState(long_oi=U(1000), short_oi=0, cum_fee_index_long=0.0,
                          cum_fee_index_short=0.0, last_accrual_time=0)
-        pos = Position(1, "t", "ETH-USD", Direction.LONG, U(1000), U(100),
-                       U(2000), 0.0)
+        pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0.0)
         assert not check_liquidation(pos, pool, cfg, U(1822))
         assert check_liquidation(pos, pool, cfg, U(1820))
         lo, hi = U(1820), U(1822)          # invariant: lo liquidatable, hi not

@@ -201,3 +201,54 @@ def test_run_missing_config_reports_error(tmp_path, capsys):
                  "--scenario", scenario, "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "ERROR ConfigError:" in capsys.readouterr().err
+
+
+# (where the literal goes, the literal, the ERROR code; None: a receipt, not an ERROR)
+@pytest.mark.parametrize("where, literal, code", [
+    ("action", "Infinity", None),
+    ("action", "NaN", None),
+    ("action", "1e400", None),
+    ("action", "1e25", None),                     # 10**31 base units, above the bound
+    pytest.param("action", "1" + "0" * 5000, "ScenarioError",   # past int()'s digit limit
+                 id="action-5001-digit-int"),
+    ("treasury_fee_share", "Infinity", "ScenarioError"),
+    ("treasury_fee_share", "NaN", "ScenarioError"),
+    ("treasury_fee_share", "1e400", "ScenarioError"),
+    ("config", "Infinity", "ConfigError"),
+    ("config", "1e400", "ConfigError"),
+    pytest.param("config", "1" + "0" * 5000, "ConfigError", id="config-5001-digit-int"),
+    ("trace", "inf", "TraceError"),
+    ("trace", "1e400", "TraceError"),
+])
+def test_run_non_finite_or_huge_amount(tmp_path, capsys, where, literal, code):
+    scenario = build(
+        tmp_path,
+        trace_rows=both_feeds(0, 2000) + both_feeds(60, 2000),
+        actions=[act(0, "lp", "deposit", assets="@" if where == "action" else 1000),
+                 act(60, "lp", "deposit", assets=1000)],
+        extra={"treasury_fee_share": "@"} if where == "treasury_fee_share" else None)
+    # (file, the text the literal replaces, the replacement with {} for the literal)
+    file, old, new = {
+        "action": ("scenario.json", '"@"', "{}"),
+        "treasury_fee_share": ("scenario.json", '"@"', "{}"),
+        "config": ("market.json", '"max_open_interest": "1000000000"',
+                   '"max_open_interest": {}'),
+        "trace": ("trace.csv", "60,primary,2000", "60,primary,{}"),
+    }[where]
+    text = (tmp_path / file).read_text()
+    assert text.count(old) == 1
+    (tmp_path / file).write_text(text.replace(old, new.format(literal)))
+    out_dir = tmp_path / "out"
+    exit_code = main(["run", "--config", str(tmp_path / "market.json"),
+                      "--trace", str(tmp_path / "trace.csv"),
+                      "--scenario", scenario, "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err.splitlines()
+    if code is None:
+        # the bad deposit gets a receipt and the run goes on to accrue and deposit
+        assert exit_code == 0 and err == []
+        receipts = (out_dir / "receipts.csv").read_text().splitlines()
+        assert [row.split(",")[4] for row in receipts[1:]] == ["ScenarioError", "ok"]
+    else:
+        assert exit_code == 1
+        assert len(err) == 1 and err[0].startswith(f"ERROR {code}: ")
+        assert not out_dir.exists()

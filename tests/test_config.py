@@ -67,6 +67,16 @@ def test_too_fine_precision_rejected(tmp_path):
         load_market_config(write(tmp_path, bad))
 
 
+@pytest.mark.parametrize("amount", [
+    "1." + "0" * 50 + "1",   # the 7th+ digit lies beyond 50 significant digits
+    "1e-99999999",           # scaling by 10**6 would underflow a bounded context
+])
+def test_fraction_below_a_base_unit_rejected_at_any_length(tmp_path, amount):
+    bad = dict(GOOD, open_close_fee_rate=amount)
+    with pytest.raises(ConfigError, match="6 fractional digits"):
+        load_market_config(write(tmp_path, bad))
+
+
 def test_negative_curve_param_rejected(tmp_path):
     bad = dict(GOOD, base_fee={"k_b": -1, "c_b": 0})
     with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ the sigmoid from a 50-digit mpmath evaluation of both published closed forms
 from __future__ import annotations
 
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, exp as mexp
 
 from perpamm.curves import (
+    _deviated,
     BaseFeeParams,
     DeviationParams,
     DynamicFeeParams,
@@ -122,6 +124,28 @@ def test_quote_midpoint_is_exactly_the_oracle_price(price, u, kd, cd):
     long_q, short_q = quote_price_decimals(price, u, DeviationParams(kd, cd))
     assert long_q + short_q == 2 * price
     assert long_q >= price >= short_q
+
+
+@settings(max_examples=300)
+@given(
+    price=st.decimals(min_value="0.000000001", max_value="9" * 40,
+                      allow_nan=False, allow_infinity=False, places=9),
+    delta=st.decimals(min_value=0, max_value="99.999999999",
+                      allow_nan=False, allow_infinity=False, places=9),
+)
+def test_deviated_quotes_are_exact_half_even_roundings(price, delta):
+    """price * (1 +/- delta/100), rounded once half-even to 9 digits, at any dec9 price."""
+    long_q, short_q = _deviated(dec9(price), delta)
+    exact_shift = Fraction(price) * Fraction(delta) / 100
+    assert long_q == Fraction(round((Fraction(price) + exact_shift) * 10**9), 10**9)
+    assert short_q == Fraction(round((Fraction(price) - exact_shift) * 10**9), 10**9)
+
+
+def test_deviated_quote_of_a_long_price_is_not_rounded_at_28_digits():
+    # 1234567890123456789012.5 * (1 + 0.746481...% ) needs more than 28 digits
+    delta = dec9(eval_deviation(77.7, DeviationParams(0.000123456, 0.123456789)))
+    long_q, _ = _deviated(Decimal("1234567890123456789012.5"), delta)
+    assert str(long_q).endswith(".773972628")
 
 
 # -- Base fee ---------------------------------------------------------------------
@@ -274,22 +298,28 @@ BASE = BaseFeeParams(0.01, 0.0)
 DYN = DynamicFeeParams(500, 0.0125)
 
 
+def rates_at_half(long_oi, short_oi, pool_value):
+    """(long, short) rates at 50% utilization for a book."""
+    return total_borrow_rates(50, compute_skew(long_oi, short_oi, pool_value),
+                              long_oi, short_oi, BASE, DYN)
+
+
 def test_balanced_book_pays_base_fee_only():
-    long_rate, short_rate = total_borrow_rates(50, 700, 700, 1400, BASE, DYN)
+    long_rate, short_rate = rates_at_half(700, 700, 1400)
     assert long_rate == short_rate == 25.0
 
 
 def test_heavier_long_side_pays_dynamic_fee():
     fd = eval_dynamic_fee(20, DYN)
-    long_rate, short_rate = total_borrow_rates(50, 600, 400, 1000, BASE, DYN)
+    long_rate, short_rate = rates_at_half(600, 400, 1000)
     assert short_rate == 25.0
     assert long_rate == pytest.approx(25.0 + fd, abs=1e-9)
     assert long_rate == pytest.approx(25.0 + 62.176500886, abs=2e-9)
 
 
 def test_heavier_short_side_mirrors():
-    long_rate, short_rate = total_borrow_rates(50, 400, 600, 1000, BASE, DYN)
-    mirrored = total_borrow_rates(50, 600, 400, 1000, BASE, DYN)
+    long_rate, short_rate = rates_at_half(400, 600, 1000)
+    mirrored = rates_at_half(600, 400, 1000)
     assert (short_rate, long_rate) == mirrored
 
 

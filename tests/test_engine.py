@@ -55,10 +55,8 @@ U = to_units  # shorthand: whole units -> base units
 DAY = 86_400
 
 
-def pool(pool_value=0, reserved=0, long_oi=0, short_oi=0, idx_long=0.0,
-         idx_short=0.0, t=0):
-    return PoolState(pool_value=pool_value, reserved=reserved, long_oi=long_oi,
-                     short_oi=short_oi, cum_fee_index_long=idx_long,
+def pool(long_oi=0, short_oi=0, idx_long=0.0, idx_short=0.0, t=0):
+    return PoolState(long_oi=long_oi, short_oi=short_oi, cum_fee_index_long=idx_long,
                      cum_fee_index_short=idx_short, last_accrual_time=t)
 
 
@@ -76,14 +74,14 @@ def open_position(engine, owner="t", size=U(1000), collateral=U(100),
 # -- Utilization ---------------------------------------------------------------
 
 def test_utilization_examples():
-    assert utilization_pct(pool(pool_value=U(10000))) == 0.0
-    assert utilization_pct(pool(pool_value=U(10000), reserved=U(2500))) == 25.0
-    assert utilization_pct(pool(pool_value=U(10000), reserved=U(10000))) == 100.0
+    assert utilization_pct(pool(), U(10000)) == 0.0
+    assert utilization_pct(pool(long_oi=U(2500)), U(10000)) == 25.0
+    assert utilization_pct(pool(long_oi=U(4000), short_oi=U(6000)), U(10000)) == 100.0
 
 
 def test_utilization_rejects_empty_pool():
     with pytest.raises(DomainError):
-        utilization_pct(pool())
+        utilization_pct(pool(), 0)
 
 
 # -- Accrual ----------------------------------------------------------------------
@@ -92,26 +90,26 @@ RATED = make_config(base_fee=BaseFeeParams(0.0, 36.5))
 
 
 def test_accrual_is_idempotent_at_zero_dt():
-    state = pool(pool_value=U(10000), reserved=U(1000), long_oi=U(1000), t=50)
-    assert accrue_fees(state, RATED, 50) == state
+    state = pool(long_oi=U(1000), t=50)
+    assert accrue_fees(state, U(10000), RATED, 50) is state
 
 
 def test_accrual_rejects_clock_regression():
-    state = pool(pool_value=U(10000), t=100)
+    state = pool(t=100)
     with pytest.raises(ClockRegression):
-        accrue_fees(state, RATED, 99)
+        accrue_fees(state, U(10000), RATED, 99)
 
 
 def test_ten_day_accrual_at_constant_rate():
     # 36.5%/year for 10 days is exactly 1% of notional (Fraction oracle)
     oracle = Fraction(365, 1000) * Fraction(10 * DAY, SECONDS_PER_YEAR)
     assert oracle == Fraction(1, 100)
-    state = pool(pool_value=U(10000), reserved=U(1000), long_oi=U(1000))
-    after = accrue_fees(state, RATED, 10 * DAY)
+    state = pool(long_oi=U(1000))
+    after = accrue_fees(state, U(10000), RATED, 10 * DAY)
     assert after.cum_fee_index_long == pytest.approx(0.01, abs=1e-15)
     assert after.cum_fee_index_short == pytest.approx(0.01, abs=1e-15)
     # a size-1000 position on the long side owes 10 units
-    pos = Position(1, "t", "ETH-USD", Direction.LONG, U(1000), U(100), U(2000), 0.0)
+    pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0.0)
     equity = position_equity(pos, after, U(2000))
     assert abs((U(100) - equity) - U(10)) <= 1
 
@@ -119,26 +117,25 @@ def test_ten_day_accrual_at_constant_rate():
 def test_balanced_book_grows_both_indices_equally():
     cfg = make_config(base_fee=BaseFeeParams(0.01, 0),
                       dynamic_fee=DynamicFeeParams(500, 0.0125))
-    state = pool(pool_value=U(1000), reserved=U(800), long_oi=U(400), short_oi=U(400))
-    after = accrue_fees(state, cfg, 5 * DAY)
+    state = pool(long_oi=U(400), short_oi=U(400))
+    after = accrue_fees(state, U(1000), cfg, 5 * DAY)
     assert after.cum_fee_index_long == after.cum_fee_index_short > 0
 
 
 def test_heavier_side_rule_lighter_side_pays_base_only():
     cfg = make_config(base_fee=BaseFeeParams(0.01, 0),
                       dynamic_fee=DynamicFeeParams(500, 0.0125))
-    state = pool(pool_value=U(1000), reserved=U(1000), long_oi=U(600), short_oi=U(400))
-    after = accrue_fees(state, cfg, 3 * DAY)
-    base_only = (utilization_pct(state) ** 2 * 0.01 / 100.0) * (3 * DAY / SECONDS_PER_YEAR)
+    state = pool(long_oi=U(600), short_oi=U(400))
+    after = accrue_fees(state, U(1000), cfg, 3 * DAY)
+    base_only = (utilization_pct(state, U(1000)) ** 2 * 0.01 / 100.0) * (3 * DAY / SECONDS_PER_YEAR)
     assert after.cum_fee_index_short == pytest.approx(base_only, rel=1e-12)
     assert after.cum_fee_index_long > after.cum_fee_index_short
 
 
 def test_split_accrual_equals_single_step():
-    state = pool(pool_value=U(10000), reserved=U(3000), long_oi=U(2000),
-                 short_oi=U(1000))
-    one = accrue_fees(state, RATED, 1000)
-    two = accrue_fees(accrue_fees(state, RATED, 400), RATED, 1000)
+    state = pool(long_oi=U(2000), short_oi=U(1000))
+    one = accrue_fees(state, U(10000), RATED, 1000)
+    two = accrue_fees(accrue_fees(state, U(10000), RATED, 400), U(10000), RATED, 1000)
     assert one.cum_fee_index_long == pytest.approx(
         two.cum_fee_index_long, rel=1e-9)
     assert one.cum_fee_index_short == pytest.approx(
@@ -290,7 +287,7 @@ def test_open_liquidity_counts_the_vaults_fee_share(size, fills):
                               acceptable_price=U(2000), max_slippage=U(1))
     if fills:
         engine.settle_order(oid, 0)
-        assert engine.reserved == size <= engine.vault.total_assets
+        assert engine.pool.reserved == size <= engine.vault.total_assets
     else:
         with pytest.raises(InsufficientLiquidity):
             engine.settle_order(oid, 0)
@@ -329,7 +326,7 @@ def test_close_round_trip_zero_fees(engine):
     assert receipt.payout == U(150)
     assert engine.vault.total_assets == U(9950)   # profit paid by the pool
     assert not engine.positions
-    assert engine.reserved == engine.long_oi == engine.short_oi == 0
+    assert engine.pool.reserved == engine.pool.long_oi == engine.pool.short_oi == 0
 
 
 def test_close_requires_matching_owner_and_direction(engine):
@@ -393,10 +390,9 @@ def test_trader_gain_equals_vault_loss_and_vice_versa(engine):
 # -- Equity / liquidation ------------------------------------------------------------
 
 def equity_fixture(direction=Direction.LONG):
-    state = pool(pool_value=U(10000), reserved=U(1000),
-                 long_oi=U(1000) if direction is Direction.LONG else 0,
+    state = pool(long_oi=U(1000) if direction is Direction.LONG else 0,
                  short_oi=0 if direction is Direction.LONG else U(1000))
-    position = Position(1, "t", "ETH-USD", direction, U(1000), U(100), U(2000), 0.0)
+    position = Position(1, "t", direction, U(1000), U(100), U(2000), 0.0)
     return position, state
 
 
@@ -647,9 +643,7 @@ def fingerprint(engine: Engine):
     return (
         engine.vault.total_assets, engine.vault.total_shares,
         dict(engine.vault.balances), dict(engine.positions), dict(engine.orders),
-        dict(engine.escrow), engine.reserved, engine.long_oi, engine.short_oi,
-        engine.cum_fee_index_long, engine.cum_fee_index_short,
-        engine.last_accrual_time, engine.treasury,
+        dict(engine.escrow), engine.pool, engine.treasury,
         engine._next_order_id, engine._next_position_id,
         list(engine._fires_below), list(engine._fires_above),
     )
@@ -941,7 +935,7 @@ def test_oi_matches_open_positions_throughout():
                     if p.direction is Direction.LONG)
         shorts = sum(p.size for p in engine.positions.values()
                      if p.direction is Direction.SHORT)
-        assert engine.long_oi == longs
-        assert engine.short_oi == shorts
-        assert engine.reserved == longs + shorts
-        assert engine.reserved <= engine.vault.total_assets
+        assert engine.pool.long_oi == longs
+        assert engine.pool.short_oi == shorts
+        assert engine.pool.reserved == longs + shorts
+        assert engine.pool.reserved <= engine.vault.total_assets

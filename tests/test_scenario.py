@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+import perpamm.curves
+import perpamm.engine
+from conftest import feed_both, make_config, make_engine
+from perpamm.curves import BaseFeeParams, DynamicFeeParams
+from perpamm.engine import Direction, OrderKind, pool_metrics
 from perpamm.errors import ScenarioError
 from perpamm.money import to_units
-from perpamm.scenario import load_scenario, run_files, write_outputs
+from perpamm.scenario import Scenario, _Runner, load_scenario, run_files, write_outputs
 
 U = to_units
 
@@ -203,6 +209,45 @@ def test_liquidate_check_sweep_and_explicit(tmp_path):
                and r.status == "ok")
     assert liq.actor == "trader"       # payout goes to the position owner
     assert liq.realized_pnl == -U(95)
+
+
+def count_calls(monkeypatch, original) -> list[int]:
+    """Count calls to `original` under every perpamm module name bound to it."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "perpamm" or name.startswith("perpamm."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+def test_snapshot_computes_each_pool_value_once(monkeypatch):
+    engine = make_engine(make_config(base_fee=BaseFeeParams(0.01, 1.0),
+                                     dynamic_fee=DynamicFeeParams(500, 0.0125)))
+    engine.lp_deposit("lp", U(10_000), 0)
+    feed_both(engine, U(2000), 0)
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+                              size=U(3000), collateral=U(500),
+                              acceptable_price=U(2000), max_slippage=U(1))
+    engine.settle_order(oid, 0)
+    expected = pool_metrics(engine.pool, engine.vault.total_assets, engine.config)
+    assert expected[1] == 30.0 and expected[2] > expected[3]   # a skewed pool
+
+    utilization = count_calls(monkeypatch, perpamm.engine.utilization_pct)
+    skew = count_calls(monkeypatch, perpamm.curves.compute_skew)
+    runner = _Runner(Scenario("market.json", "trace.csv", [], 0, []), engine, [])
+    runner._snapshot(0)
+    assert (utilization[0], skew[0]) == (1, 1)
+    row = runner.snapshots[0]
+    assert (row.utilization, row.skew, row.borrow_rate_long,
+            row.borrow_rate_short) == expected
+    assert row.reserved == row.long_oi == U(3000)
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
