@@ -11,17 +11,16 @@ Utilization, skew, deviation and fee rates are all expressed on a 0-100
 percent scale; fee rates are annualized. Raw math runs in binary64; every
 value returned here is quantized to nine fractional decimal digits
 (round-half-even) so downstream state and reports are platform-stable.
+Quotes are exact integer arithmetic on prices in 1e-9 units.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 
 from .errors import DomainError, QuoteError
-from .money import dec9, dec9_to_units, quantize9, units_to_decimal
+from .money import div_round_half_even, format9, quantize9
 
 
 @dataclass(frozen=True)
@@ -104,38 +103,22 @@ def compute_skew(long_oi, short_oi, pool_value) -> float:
 
 # -- Quoting -----------------------------------------------------------------
 
-# Wide enough to hold price * (1 +/- delta/100) exactly for every price dec9
-# accepts (at most 50 digits) and every delta below 100 with nine fractional
-# digits (at most 11 digits): the sum has at most 62 significant digits.
-_EXACT = decimal.Context(prec=80)
-
-
-def _deviated(price: Decimal, delta_pct: Decimal) -> tuple[Decimal, Decimal]:
-    """Apply +/-delta% to a 9-digit price; exact arithmetic, one rounding to 9 digits."""
-    if delta_pct >= 100:
-        raise QuoteError(f"deviation {delta_pct}% leaves no positive short quote")
-    shift = _EXACT.divide(_EXACT.multiply(price, delta_pct), 100)
-    return dec9(_EXACT.add(price, shift)), dec9(_EXACT.subtract(price, shift))
-
-
-def quote_price_decimals(price: Decimal, u: float, p: DeviationParams) -> tuple[Decimal, Decimal]:
-    """(long, short) quotes for an exact Decimal oracle price."""
-    if price <= 0:
-        raise DomainError("oracle price must be positive")
-    delta = dec9(eval_deviation(u, p))
-    return _deviated(dec9(price), delta)
-
-
-def quote_prices(oracle_price: float, u: float, p: DeviationParams) -> tuple[float, float]:
-    """(long, short) quotes around a float oracle price, 9-digit quantized."""
-    long_q, short_q = quote_price_decimals(Decimal(oracle_price), u, p)
-    return float(long_q), float(short_q)
+def quote_nanos(price_nanos: int, u: float, p: DeviationParams) -> tuple[int, int]:
+    """(long, short) = price * (1 +/- delta/100) in 1e-9 units, exact, rounded once half-even."""
+    delta = eval_deviation(u, p)
+    if delta >= 100:
+        raise QuoteError(f"deviation {format9(delta)}% leaves no positive short quote")
+    d = round(delta * 10**9)   # delta in 1e-9 percent, exact below 100; 10**11 is 100%
+    return (div_round_half_even(price_nanos * (10**11 + d), 10**11),
+            div_round_half_even(price_nanos * (10**11 - d), 10**11))
 
 
 def quote_prices_units(price_units: int, u: float, p: DeviationParams) -> tuple[int, int]:
-    """(long, short) quotes for a price in integer base units."""
-    long_q, short_q = quote_price_decimals(units_to_decimal(price_units), u, p)
-    return dec9_to_units(long_q), dec9_to_units(short_q)
+    """(long, short) quotes for a price in base units: 9-digit quotes, rounded half-even."""
+    if price_units <= 0:
+        raise DomainError("oracle price must be positive")
+    long_q, short_q = quote_nanos(price_units * 1000, u, p)   # 1000 nanos per base unit
+    return div_round_half_even(long_q, 1000), div_round_half_even(short_q, 1000)
 
 
 def total_borrow_rates(

@@ -349,7 +349,6 @@ class Engine:
         owner: str,
         kind: OrderKind,
         direction: Direction,
-        now: int,
         size: int = 0,
         collateral: int = 0,
         acceptable_price: int = 0,
@@ -398,7 +397,7 @@ class Engine:
             insort(book, (trigger_price, order_id))
         return order_id
 
-    def cancel_order(self, order_id: int, now: int) -> int:
+    def cancel_order(self, order_id: int) -> int:
         order = self.orders.get(order_id)
         if order is None:
             raise UnknownOrder(f"no pending order {order_id}")

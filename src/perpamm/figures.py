@@ -15,7 +15,8 @@ golden artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, DecimalException, InvalidOperation
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation
+from functools import partial
 
 from .curves import (
     BaseFeeParams,
@@ -24,12 +25,11 @@ from .curves import (
     eval_base_fee,
     eval_deviation,
     eval_dynamic_fee,
-    quote_price_decimals,
+    quote_nanos,
 )
-from .errors import InvalidGrid
-from .money import format9
+from .errors import DomainError, InvalidGrid
+from .money import format9, format_nanos
 
-FIGURE_KINDS = ("deviation_price", "deviation_pct", "base_fee", "dynamic_fee")
 MAX_GRID_POINTS = 10**6   # a table row per point: bounds the time and memory one table takes
 
 
@@ -91,15 +91,10 @@ def emit_figure_data(kind: str, params: dict, grid: Grid) -> FigureTable:
     * base_fee:        k_b (one or more), c_b
     * dynamic_fee:     steepness (one or more), m_max
     """
-    if kind == "deviation_price":
-        return _deviation_price(params, grid)
-    if kind == "deviation_pct":
-        return _deviation_pct(params, grid)
-    if kind == "base_fee":
-        return _base_fee(params, grid)
-    if kind == "dynamic_fee":
-        return _dynamic_fee(params, grid)
-    raise InvalidGrid(f"unknown figure kind {kind!r}")
+    build = _TABLES.get(kind)
+    if build is None:
+        raise InvalidGrid(f"unknown figure kind {kind!r}")
+    return build(params, grid)
 
 
 def _one_or_more(params: dict, key: str) -> list[Decimal]:
@@ -107,6 +102,10 @@ def _one_or_more(params: dict, key: str) -> list[Decimal]:
     if not values:
         raise InvalidGrid(f"figure needs at least one {key} value")
     return list(values)
+
+
+# a 9-digit value has at most 50 significant digits; a longer price is a DomainError
+_PRICE_CONTEXT = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 
 def _deviation_price(params: dict, grid: Grid) -> FigureTable:
@@ -117,40 +116,45 @@ def _deviation_price(params: dict, grid: Grid) -> FigureTable:
     if len(k_deltas) != 1:
         raise InvalidGrid("deviation_price takes exactly one k_delta")
     p = DeviationParams(k_delta=float(k_deltas[0]), c_d=float(params.get("c_d", 0)))
+    try:   # the price in integer 1e-9 units, rounded half-even once
+        price_nanos = int(price.quantize(Decimal("1e-9"), context=_PRICE_CONTEXT).scaleb(
+            9, context=_PRICE_CONTEXT))
+    except InvalidOperation:
+        raise DomainError(f"{price:.6g} has no 9-digit fixed-point value") from None
+    price_text = format_nanos(price_nanos)
     rows = []
     for point in grid.points():
-        long_q, short_q = quote_price_decimals(price, float(point), p)
-        rows.append([_fmt_point(point), format9(price), format9(long_q), format9(short_q)])
+        long_q, short_q = quote_nanos(price_nanos, float(point), p)
+        rows.append([_fmt_point(point), price_text,
+                     format_nanos(long_q), format_nanos(short_q)])
     return FigureTable(
         header=["utilization", "oracle_price", "deviated_price_long", "deviated_price_short"],
         rows=rows)
 
 
-def _deviation_pct(params: dict, grid: Grid) -> FigureTable:
-    c_d = float(params.get("c_d", 0))
-    series = [(f"deviation_kd_{kd}", DeviationParams(k_delta=float(kd), c_d=c_d))
-              for kd in _one_or_more(params, "k_delta")]
-    rows = [[_fmt_point(point)] + [format9(eval_deviation(float(point), p))
-                                   for _, p in series]
+def _coefficient_table(x_name: str, key: str, const_key: str, label: str, make, curve,
+                       params: dict, grid: Grid) -> FigureTable:
+    """One column per coefficient in params[key]: curve(x, make(coefficient, constant))."""
+    const = float(params.get(const_key, 0))
+    coefficients = _one_or_more(params, key)
+    series = [make(float(c), const) for c in coefficients]
+    rows = [[_fmt_point(point)] + [format9(curve(float(point), p)) for p in series]
             for point in grid.points()]
-    return FigureTable(header=["utilization"] + [name for name, _ in series], rows=rows)
+    return FigureTable(header=[x_name] + [f"{label}{c}" for c in coefficients], rows=rows)
 
 
-def _base_fee(params: dict, grid: Grid) -> FigureTable:
-    c_b = float(params.get("c_b", 0))
-    series = [(f"base_fee_kb_{kb}", BaseFeeParams(k_b=float(kb), c_b=c_b))
-              for kb in _one_or_more(params, "k_b")]
-    rows = [[_fmt_point(point)] + [format9(eval_base_fee(float(point), p))
-                                   for _, p in series]
-            for point in grid.points()]
-    return FigureTable(header=["utilization"] + [name for name, _ in series], rows=rows)
-
-
-def _dynamic_fee(params: dict, grid: Grid) -> FigureTable:
-    m_max = float(params.get("m_max", 0))
-    series = [(f"dynamic_fee_k_{k}", DynamicFeeParams(m_max=m_max, steepness=float(k)))
-              for k in _one_or_more(params, "steepness")]
-    rows = [[_fmt_point(point)] + [format9(eval_dynamic_fee(float(point), p))
-                                   for _, p in series]
-            for point in grid.points()]
-    return FigureTable(header=["market_skew"] + [name for name, _ in series], rows=rows)
+# The curves are called through their module names, so a wrapper installed over
+# those names (the benchmark's tracer) sees every call.
+_TABLES = {
+    "deviation_price": _deviation_price,
+    "deviation_pct": partial(_coefficient_table, "utilization", "k_delta", "c_d",
+                             "deviation_kd_", DeviationParams,
+                             lambda x, p: eval_deviation(x, p)),
+    "base_fee": partial(_coefficient_table, "utilization", "k_b", "c_b",
+                        "base_fee_kb_", BaseFeeParams, lambda x, p: eval_base_fee(x, p)),
+    "dynamic_fee": partial(_coefficient_table, "market_skew", "steepness", "m_max",
+                           "dynamic_fee_k_",
+                           lambda k, m_max: DynamicFeeParams(m_max=m_max, steepness=k),
+                           lambda x, p: eval_dynamic_fee(x, p)),
+}
+FIGURE_KINDS = tuple(_TABLES)

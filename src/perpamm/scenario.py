@@ -397,8 +397,7 @@ class _Runner:
             if key in params:
                 kwargs[key] = _param_units(params, key, action.seq)
         order_id = self.engine.create_order(
-            action.actor, kind, direction, action.time,
-            position_id=position_id, **kwargs)
+            action.actor, kind, direction, position_id=position_id, **kwargs)
         collateral = self.engine.escrow.get(order_id, 0)
         self.cash[action.actor] -= collateral
         self._emit(action.time, action.actor, action.kind, "ok",
@@ -417,7 +416,7 @@ class _Runner:
     def _do_cancel_order(self, action: Action) -> None:
         order_id = _param_int(action.params, "order_id", action.seq)
         order = self.engine.orders.get(order_id)
-        refund = self.engine.cancel_order(order_id, action.time)
+        refund = self.engine.cancel_order(order_id)
         owner = order.owner if order is not None else action.actor
         self.cash[owner] = self.cash.get(owner, 0) + refund
         self._emit(action.time, owner, action.kind, "ok", order_id=order_id,

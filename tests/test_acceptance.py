@@ -307,7 +307,7 @@ def test_criterion_07_accrual_oracle_equivalence():
         engine.lp_deposit("lp", U(10_000), 0)
         for feed in ("primary", "secondary"):
             engine.feeds.ingest(PricePoint(feed, U(2000), 0))
-        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                                   size=U(1000), collateral=U(100),
                                   acceptable_price=U(2000), max_slippage=U(1))
         engine.settle_order(oid, 0)
@@ -315,7 +315,7 @@ def test_criterion_07_accrual_oracle_equivalence():
         for feed in ("primary", "secondary"):
             engine.feeds.ingest(PricePoint(feed, U(2000), ten_days))
         close = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
-                                    ten_days, acceptable_price=U(2000),
+                                    acceptable_price=U(2000),
                                     max_slippage=U(1), position_id=1)
         receipt = engine.settle_order(close, ten_days)
         assert abs(receipt.borrow_fee_paid - U(10)) <= 1

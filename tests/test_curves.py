@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, exp as mexp
 
 from perpamm.curves import (
-    _deviated,
     BaseFeeParams,
     DeviationParams,
     DynamicFeeParams,
@@ -24,12 +23,12 @@ from perpamm.curves import (
     eval_base_fee,
     eval_deviation,
     eval_dynamic_fee,
-    quote_price_decimals,
-    quote_prices,
+    quote_nanos,
+    quote_prices_units,
     total_borrow_rates,
 )
 from perpamm.errors import DomainError, QuoteError
-from perpamm.money import dec9
+from perpamm.money import format9, format_nanos, to_units
 
 
 def sigmoid_oracle(sigma: float, m_max: float, steepness: float) -> float:
@@ -97,19 +96,20 @@ def test_curve_params_reject_non_finite(make, bad):
     (100, (2080.0, 1920.0)),
 ])
 def test_quotes_at_constant_oracle_price(u, expected):
-    assert quote_prices(2000.0, u, DeviationParams(0.0004, 0.0)) == expected
+    assert quote_prices_units(to_units(2000), u, DeviationParams(0.0004, 0.0)) == tuple(
+        to_units(q) for q in expected)
 
 
 def test_quote_rejects_full_deviation():
     with pytest.raises(QuoteError):
-        quote_prices(2000.0, 100, DeviationParams(0.01, 0.0))   # delta = 100
+        quote_prices_units(to_units(2000), 100, DeviationParams(0.01, 0.0))   # delta = 100
     with pytest.raises(QuoteError):
-        quote_prices(2000.0, 0, DeviationParams(0.0, 100.0))
+        quote_prices_units(to_units(2000), 0, DeviationParams(0.0, 100.0))
 
 
 def test_quote_rejects_non_positive_price():
     with pytest.raises(DomainError):
-        quote_prices(0.0, 50, DeviationParams(0.0004, 0))
+        quote_prices_units(0, 50, DeviationParams(0.0004, 0))
 
 
 @settings(max_examples=300)
@@ -121,9 +121,10 @@ def test_quote_rejects_non_positive_price():
     cd=st.floats(min_value=0, max_value=5),
 )
 def test_quote_midpoint_is_exactly_the_oracle_price(price, u, kd, cd):
-    long_q, short_q = quote_price_decimals(price, u, DeviationParams(kd, cd))
-    assert long_q + short_q == 2 * price
-    assert long_q >= price >= short_q
+    price_nanos = int(Fraction(price) * 10**9)
+    long_q, short_q = quote_nanos(price_nanos, u, DeviationParams(kd, cd))
+    assert long_q + short_q == 2 * price_nanos
+    assert long_q >= price_nanos >= short_q
 
 
 @settings(max_examples=300)
@@ -134,18 +135,20 @@ def test_quote_midpoint_is_exactly_the_oracle_price(price, u, kd, cd):
                       allow_nan=False, allow_infinity=False, places=9),
 )
 def test_deviated_quotes_are_exact_half_even_roundings(price, delta):
-    """price * (1 +/- delta/100), rounded once half-even to 9 digits, at any dec9 price."""
-    long_q, short_q = _deviated(dec9(price), delta)
+    """price * (1 +/- delta/100), rounded once half-even to 9 digits, at any 9-digit price."""
+    # at u = 0 the deviation is the constant c_d, here the 9-digit delta
+    long_q, short_q = quote_nanos(int(Fraction(price) * 10**9), 0,
+                                  DeviationParams(0.0, float(delta)))
     exact_shift = Fraction(price) * Fraction(delta) / 100
-    assert long_q == Fraction(round((Fraction(price) + exact_shift) * 10**9), 10**9)
-    assert short_q == Fraction(round((Fraction(price) - exact_shift) * 10**9), 10**9)
+    assert long_q == round((Fraction(price) + exact_shift) * 10**9)
+    assert short_q == round((Fraction(price) - exact_shift) * 10**9)
 
 
 def test_deviated_quote_of_a_long_price_is_not_rounded_at_28_digits():
     # 1234567890123456789012.5 * (1 + 0.746481...% ) needs more than 28 digits
-    delta = dec9(eval_deviation(77.7, DeviationParams(0.000123456, 0.123456789)))
-    long_q, _ = _deviated(Decimal("1234567890123456789012.5"), delta)
-    assert str(long_q).endswith(".773972628")
+    long_q, _ = quote_nanos(1234567890123456789012_500000000, 77.7,
+                            DeviationParams(0.000123456, 0.123456789))
+    assert format_nanos(long_q).endswith(".773972628")
 
 
 # -- Base fee ---------------------------------------------------------------------
@@ -340,4 +343,4 @@ def test_zero_coefficient_collapses_to_constant(u, kd, kb):
 
 def test_nine_digit_quantization_applies():
     value = eval_dynamic_fee(33.3, DynamicFeeParams(500, 0.0325))
-    assert dec9(value) == Decimal(repr(value)).quantize(Decimal("1e-9"))
+    assert Decimal(format9(value)) == Decimal(repr(value)).quantize(Decimal("1e-9"))

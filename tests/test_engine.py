@@ -64,7 +64,7 @@ def open_position(engine, owner="t", size=U(1000), collateral=U(100),
                   direction=Direction.LONG, price=2000, t=0, slippage=U(100)):
     """Feed a price, create and settle a market open; returns position id."""
     feed_both(engine, U(price), t)
-    order_id = engine.create_order(owner, OrderKind.MARKET_OPEN, direction, t,
+    order_id = engine.create_order(owner, OrderKind.MARKET_OPEN, direction,
                                    size=size, collateral=collateral,
                                    acceptable_price=U(price), max_slippage=slippage)
     engine.settle_order(order_id, t)
@@ -145,7 +145,7 @@ def test_split_accrual_equals_single_step():
 # -- Order creation -----------------------------------------------------------------
 
 def test_boundary_leverage_accepted(engine):
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(1000), collateral=U(100),
                               acceptable_price=U(2000))
     assert oid == 1
@@ -154,7 +154,7 @@ def test_boundary_leverage_accepted(engine):
 
 def test_leverage_just_past_bound_rejected(engine):
     with pytest.raises(LeverageExceeded):
-        engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+        engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                             size=U(1001), collateral=U(100),
                             acceptable_price=U(2000))
 
@@ -162,7 +162,7 @@ def test_leverage_just_past_bound_rejected(engine):
 def test_close_for_missing_position_accepted_then_fails_at_settlement(engine):
     engine.vault.deposit("lp", U(10000))
     feed_both(engine, U(2000), 0)
-    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                               acceptable_price=U(2000), max_slippage=U(1),
                               position_id=77)
     with pytest.raises(UnknownPosition):
@@ -172,28 +172,28 @@ def test_close_for_missing_position_accepted_then_fails_at_settlement(engine):
 
 def test_create_order_validation(engine):
     with pytest.raises(UnknownMarket):
-        engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+        engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                             size=U(10), collateral=U(10),
                             acceptable_price=U(1), market_id="BTC-USD")
     with pytest.raises(DomainError):   # market order without acceptable price
-        engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+        engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                             size=U(10), collateral=U(10))
     with pytest.raises(DomainError):   # trigger order without trigger price
-        engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
+        engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG,
                             position_id=1)
     with pytest.raises(DomainError):   # close order without position
-        engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 0,
+        engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                             acceptable_price=U(2000))
 
 
 def test_cancel_refunds_escrow(engine):
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(100), collateral=U(50),
                               acceptable_price=U(2000))
-    assert engine.cancel_order(oid, 1) == U(50)
+    assert engine.cancel_order(oid) == U(50)
     assert not engine.orders and not engine.escrow
     with pytest.raises(UnknownOrder):
-        engine.cancel_order(oid, 2)
+        engine.cancel_order(oid)
 
 
 # -- Settlement ------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def deviated_engine():
 
 def test_settle_at_exact_slippage_bound_fills():
     engine = deviated_engine()
-    oid = engine.create_order("t2", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t2", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(100), collateral=U(100),
                               acceptable_price=U(2000), max_slippage=U(1))
     receipt = engine.settle_order(oid, 0)
@@ -219,7 +219,7 @@ def test_settle_beyond_slippage_reverts():
     engine = make_engine(make_config(deviation=DeviationParams(0.0005, 0.0)))
     engine.vault.deposit("lp", U(2000))
     open_position(engine, size=U(1000), collateral=U(100))  # u=50 -> 1.25%
-    oid = engine.create_order("t2", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t2", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(100), collateral=U(100),
                               acceptable_price=U(2000), max_slippage=U(1))
     with pytest.raises(SlippageExceeded):
@@ -230,7 +230,7 @@ def test_settle_beyond_slippage_reverts():
 def test_favorable_move_never_trips_slippage(engine):
     engine.vault.deposit("lp", U(10000))
     feed_both(engine, U(1900), 0)  # better than acceptable for a buy
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(100), collateral=U(100),
                               acceptable_price=U(2000), max_slippage=0)
     assert engine.settle_order(oid, 0).executed_price == U(1900)
@@ -247,7 +247,7 @@ def test_open_interest_cap(engine):
     engine = make_engine(cfg)
     engine.vault.deposit("lp", U(10000))
     feed_both(engine, U(2000), 0)
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(1000), collateral=U(100),
                               acceptable_price=U(2000), max_slippage=U(1))
     with pytest.raises(OpenInterestCapExceeded):
@@ -258,7 +258,7 @@ def test_exposure_cap():
     engine = make_engine(make_config(max_exposure=U(300)))
     engine.vault.deposit("lp", U(10000))
     feed_both(engine, U(2000), 0)
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(400), collateral=U(100),
                               acceptable_price=U(2000), max_slippage=U(1))
     with pytest.raises(ExposureCapExceeded):
@@ -268,7 +268,7 @@ def test_exposure_cap():
 def test_open_beyond_pool_is_insufficient_liquidity(engine):
     engine.vault.deposit("lp", U(500))
     feed_both(engine, U(2000), 0)
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(1000), collateral=U(100),
                               acceptable_price=U(2000), max_slippage=U(1))
     with pytest.raises(InsufficientLiquidity):
@@ -282,7 +282,7 @@ def test_open_liquidity_counts_the_vaults_fee_share(size, fills):
                          treasury_fee_share=U(25))
     engine.vault.deposit("lp", U(1000))
     feed_both(engine, U(2000), 0)
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=size, collateral=U(200),
                               acceptable_price=U(2000), max_slippage=U(1))
     if fills:
@@ -307,7 +307,7 @@ def test_open_fee_consuming_collateral_rejected():
     engine.vault.deposit("lp", U(10000))
     feed_both(engine, U(2000), 0)
     # fee = 10% of 1000 = 100 >= collateral
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(1000), collateral=U(100),
                               acceptable_price=U(2000), max_slippage=U(1))
     with pytest.raises(InsufficientCollateral):
@@ -318,7 +318,7 @@ def test_close_round_trip_zero_fees(engine):
     engine.vault.deposit("lp", U(10000))
     pid = open_position(engine)
     feed_both(engine, U(2100), 10)
-    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 10,
+    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                               acceptable_price=U(2100), max_slippage=U(1),
                               position_id=pid)
     receipt = engine.settle_order(oid, 10)
@@ -333,12 +333,12 @@ def test_close_requires_matching_owner_and_direction(engine):
     engine.vault.deposit("lp", U(10000))
     pid = open_position(engine)
     mismatched = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.SHORT,
-                                     1, acceptable_price=U(2000),
+                                     acceptable_price=U(2000),
                                      max_slippage=U(1), position_id=pid)
     with pytest.raises(DomainError):
         engine.settle_order(mismatched, 1)
     foreign = engine.create_order("someone_else", OrderKind.MARKET_CLOSE,
-                                  Direction.LONG, 1, acceptable_price=U(2000),
+                                  Direction.LONG, acceptable_price=U(2000),
                                   max_slippage=U(1), position_id=pid)
     with pytest.raises(DomainError):
         engine.settle_order(foreign, 1)
@@ -349,7 +349,7 @@ def test_close_consumes_opposite_quote_side():
     engine.vault.deposit("lp", U(2000))
     pid = open_position(engine, size=U(1000), collateral=U(100))
     # u = 50 while the position is open: close of a long fills at the short quote
-    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 5,
+    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                               acceptable_price=U(1980), max_slippage=U(1),
                               position_id=pid)
     receipt = engine.settle_order(oid, 5)
@@ -365,7 +365,7 @@ def test_close_nets_fees_against_trader_profit():
     pid = open_position(engine)
     t = 10 * DAY
     feed_both(engine, U(4020), t)
-    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, t,
+    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                               acceptable_price=U(4020), max_slippage=U(1),
                               position_id=pid)
     receipt = engine.settle_order(oid, t)
@@ -379,7 +379,7 @@ def test_trader_gain_equals_vault_loss_and_vice_versa(engine):
     before = engine.vault.total_assets
     pid = open_position(engine)
     feed_both(engine, U(1950), 10)
-    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 10,
+    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                               acceptable_price=U(1950), max_slippage=U(1),
                               position_id=pid)
     receipt = engine.settle_order(oid, 10)
@@ -495,19 +495,19 @@ def test_trigger_rules(kind, direction, trigger, mark, expected):
 def test_evaluate_triggers_returns_ready_orders(engine):
     engine.vault.deposit("lp", U(10000))
     pid = open_position(engine)
-    sl = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
+    sl = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG,
                              position_id=pid, trigger_price=U(1900),
                              max_slippage=U(5))
-    tp = engine.create_order("t", OrderKind.TAKE_PROFIT, Direction.LONG, 0,
+    tp = engine.create_order("t", OrderKind.TAKE_PROFIT, Direction.LONG,
                              position_id=pid, trigger_price=U(2100),
                              max_slippage=U(5))
     assert engine.evaluate_triggers(U(2000)) == []
     assert engine.evaluate_triggers(U(1900)) == [sl]
     assert engine.evaluate_triggers(U(2150)) == [tp]
     # two ready orders come back in id order, behind a market order that never fires
-    engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 0,
+    engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                         position_id=pid, acceptable_price=U(2000))
-    sl2 = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
+    sl2 = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG,
                               position_id=pid, trigger_price=U(1950),
                               max_slippage=U(5))
     assert engine.evaluate_triggers(U(1900)) == [sl, sl2]
@@ -516,7 +516,7 @@ def test_evaluate_triggers_returns_ready_orders(engine):
 def test_settling_untriggered_order_fails(engine):
     engine.vault.deposit("lp", U(10000))
     pid = open_position(engine)
-    sl = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
+    sl = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG,
                              position_id=pid, trigger_price=U(1900),
                              max_slippage=U(5))
     feed_both(engine, U(2000), 5)
@@ -578,14 +578,14 @@ def test_trigger_index_matches_brute_force(steps):
                 # an open position (of either direction) or an unknown one
                 pids = sorted(engine.positions) + [999]
                 fields.update(position_id=pids[ref % len(pids)])
-            engine.create_order("t", kind, direction, t, **fields)
+            engine.create_order("t", kind, direction, **fields)
         elif step[0] == "cancel":
             oid = pick_order(engine, step[1])
             if oid in engine.orders:
-                engine.cancel_order(oid, t)
+                engine.cancel_order(oid)
             else:
                 with pytest.raises(UnknownOrder):
-                    engine.cancel_order(oid, t)
+                    engine.cancel_order(oid)
         else:
             _, ref, price = step
             feed_both(engine, price, t)
@@ -615,10 +615,10 @@ def test_evaluate_triggers_reads_only_ready_orders(monkeypatch):
     for i in range(10**4):
         kind, direction, trigger = far[i % len(far)]
         if kind is OrderKind.LIMIT_OPEN:
-            engine.create_order("t", kind, direction, 0, size=U(10), collateral=U(10),
+            engine.create_order("t", kind, direction, size=U(10), collateral=U(10),
                                 trigger_price=trigger)
         else:
-            engine.create_order("t", kind, direction, 0, position_id=1,
+            engine.create_order("t", kind, direction, position_id=1,
                                 trigger_price=trigger)
     calls = 0
     original = perpamm.engine.trigger_met
@@ -631,7 +631,7 @@ def test_evaluate_triggers_reads_only_ready_orders(monkeypatch):
     monkeypatch.setattr(perpamm.engine, "trigger_met", counting)
     assert engine.evaluate_triggers(U(2000)) == []
     assert calls <= 8
-    ready = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
+    ready = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG,
                                 position_id=1, trigger_price=U(2000))
     assert engine.evaluate_triggers(U(2000)) == [ready]
     assert calls <= 1 + 8
@@ -659,7 +659,7 @@ def rated_engine(**overrides) -> Engine:
 
 
 def pending_open(engine, size=U(100), collateral=U(100)):
-    return engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    return engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                                size=size, collateral=collateral,
                                acceptable_price=U(2000), max_slippage=U(1))
 
@@ -718,7 +718,7 @@ def test_every_error_site_leaves_state_untouched():
         engine = rated_engine()
         engine.vault.deposit("lp", U(10000))
         feed_both(engine, U(2000), 0)
-        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 0,
+        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                                   acceptable_price=U(2000), max_slippage=U(1),
                                   position_id=9)
         return engine, lambda: engine.settle_order(oid, LATER), UnknownPosition
@@ -728,7 +728,7 @@ def test_every_error_site_leaves_state_untouched():
         engine.vault.deposit("lp", U(10000))
         pid = open_position(engine)
         oid = engine.create_order("someone_else", OrderKind.MARKET_CLOSE,
-                                  Direction.LONG, 0, acceptable_price=U(2000),
+                                  Direction.LONG, acceptable_price=U(2000),
                                   max_slippage=U(1), position_id=pid)
         return engine, lambda: engine.settle_order(oid, LATER), DomainError
 
@@ -736,7 +736,7 @@ def test_every_error_site_leaves_state_untouched():
         engine = rated_engine()
         engine.vault.deposit("lp", U(10000))
         pid = open_position(engine)
-        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.SHORT, 0,
+        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.SHORT,
                                   acceptable_price=U(2000), max_slippage=U(1),
                                   position_id=pid)
         return engine, lambda: engine.settle_order(oid, LATER), DomainError
@@ -745,7 +745,7 @@ def test_every_error_site_leaves_state_untouched():
         engine = rated_engine()
         engine.vault.deposit("lp", U(10000))
         pid = open_position(engine)
-        oid = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG, 0,
+        oid = engine.create_order("t", OrderKind.STOP_LOSS, Direction.LONG,
                                   position_id=pid, trigger_price=U(1900),
                                   max_slippage=U(5))
         feed_both(engine, U(2000), 1)
@@ -763,7 +763,7 @@ def test_every_error_site_leaves_state_untouched():
         engine.vault.deposit("lp", U(200))
         pid = open_position(engine, size=U(100), collateral=U(100))
         feed_both(engine, U(8000), 10)   # pnl +300 > pool
-        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 10,
+        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                                   acceptable_price=U(8000), max_slippage=U(5),
                                   position_id=pid)
         return engine, lambda: engine.settle_order(oid, LATER), InsolventVault
@@ -799,7 +799,7 @@ def test_every_error_site_leaves_state_untouched():
         engine = rated_engine()
         engine.vault.deposit("lp", U(10000))
         pid = open_position(engine)
-        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG, 0,
+        oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                                   acceptable_price=U(2000), max_slippage=U(1),
                                   position_id=pid)
         engine.accrue(LATER + 1)
@@ -916,7 +916,7 @@ def test_oi_matches_open_positions_throughout():
                 size = U(rng.randint(1, 2000))
                 collateral = max(size // 10, 1)
                 direction = rng.choice([Direction.LONG, Direction.SHORT])
-                oid = engine.create_order("t", OrderKind.MARKET_OPEN, direction, t,
+                oid = engine.create_order("t", OrderKind.MARKET_OPEN, direction,
                                           size=size, collateral=collateral,
                                           acceptable_price=U(price),
                                           max_slippage=U(50))
@@ -925,7 +925,7 @@ def test_oi_matches_open_positions_throughout():
                 pid = rng.choice(sorted(engine.positions))
                 position = engine.positions[pid]
                 oid = engine.create_order("t", OrderKind.MARKET_CLOSE,
-                                          position.direction, t,
+                                          position.direction,
                                           acceptable_price=U(price),
                                           max_slippage=U(50), position_id=pid)
                 engine.settle_order(oid, t)

@@ -41,3 +41,30 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_module(source: str, module: str) -> bool:
+    """Whether the source imports `module` (or one of its submodules) anywhere."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            return True
+    return False
+
+
+def test_checker_finds_module_imports():
+    assert imports_module("import decimal\n", "decimal")
+    assert imports_module("def f():\n    from decimal import Decimal\n", "decimal")
+    assert not imports_module("import decimals\nfrom .decimal import x\n", "decimal")
+
+
+# Decimal parses input (money.to_units, the loaders, the CLI, figure grids and
+# prices); the engine, the curves, the oracle and the vault compute in ints and floats.
+@pytest.mark.parametrize("name", ["engine.py", "curves.py", "oracle.py", "vault.py"])
+def test_computing_modules_do_not_import_decimal(name):
+    assert not imports_module((PACKAGE / name).read_text(), "decimal")

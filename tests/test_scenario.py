@@ -232,7 +232,7 @@ def test_snapshot_computes_each_pool_value_once(monkeypatch):
                                      dynamic_fee=DynamicFeeParams(500, 0.0125)))
     engine.lp_deposit("lp", U(10_000), 0)
     feed_both(engine, U(2000), 0)
-    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG, 0,
+    oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                               size=U(3000), collateral=U(500),
                               acceptable_price=U(2000), max_slippage=U(1))
     engine.settle_order(oid, 0)
