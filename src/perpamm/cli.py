@@ -9,11 +9,10 @@ produce byte-identical files; run metadata lives in a separate manifest.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from decimal import Decimal, InvalidOperation
 
-from .config import load_market_config
+from .config import load_market_config, read_json
 from .errors import InvalidGrid, ProtocolError
 from .figures import FIGURE_KINDS, Grid, emit_figure_data
 from .scenario import run_files, write_csv_atomic, write_outputs
@@ -74,11 +73,7 @@ def _curve_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.params:
         if inline:
             parser.error("--params cannot be combined with inline parameter flags")
-        with open(args.params) as fh:
-            try:
-                raw = json.load(fh, parse_float=Decimal, parse_int=Decimal)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise InvalidGrid(f"--params is not JSON: {exc}") from None
+        raw = read_json(args.params, InvalidGrid, "--params")
         if not isinstance(raw, dict):
             raise InvalidGrid("--params must hold a JSON object")
         params = {}

@@ -13,7 +13,7 @@ from decimal import Decimal
 
 from .curves import BaseFeeParams, DeviationParams, DynamicFeeParams
 from .engine import MarketConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ProtocolError
 from .money import to_units
 from .oracle import OracleConfig
 
@@ -105,14 +105,21 @@ def parse_market_config(raw: dict) -> MarketConfig:
     )
 
 
+def read_json(path: str, error: type[ProtocolError], what: str):
+    """Parse a JSON input file with exact numbers (Decimal fractions, int
+    integers). A missing file, or text that is not JSON (undecodable bytes, an
+    int past int()'s digit limit, nesting past the recursion limit), is one
+    `error` naming `what`."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_float=Decimal, parse_int=int)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
 def load_market_config(path: str) -> MarketConfig:
     """Load and parse a market config file; invariants are NOT checked here
     (see MarketConfig.violations for the validate command)."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh, parse_float=Decimal, parse_int=int)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except ValueError as exc:   # bad JSON or text, or an int past int()'s digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return parse_market_config(raw)
+    return parse_market_config(read_json(path, ConfigError, "config"))

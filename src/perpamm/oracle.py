@@ -118,28 +118,34 @@ def load_trace(path: str) -> list[PricePoint]:
     points: list[PricePoint] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise TraceError(f"expected header {TRACE_HEADER}, got {header}")
-        last_ts = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise TraceError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            try:
-                ts = int(row[0])
-            except ValueError:
-                raise TraceError(f"line {lineno}: bad timestamp {row[0]!r}") from None
-            if last_ts is not None and ts < last_ts:
-                raise TraceError(f"line {lineno}: timestamps decrease ({last_ts} -> {ts})")
-            last_ts = ts
-            try:
-                price = to_units(row[2])
-            except Exception:
-                raise TraceError(f"line {lineno}: bad price {row[2]!r}") from None
-            try:
-                points.append(PricePoint(feed_id=row[1], price=price, publish_time=ts))
-            except FeedError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from None
+        try:
+            header = next(reader, None)
+            if header != TRACE_HEADER:
+                raise TraceError(f"expected header {TRACE_HEADER}, got {header}")
+            last_ts = None
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise TraceError(f"line {lineno}: expected 3 columns, got {len(row)}")
+                try:
+                    ts = int(row[0])
+                except ValueError:
+                    raise TraceError(f"line {lineno}: bad timestamp {row[0]!r}") from None
+                if last_ts is not None and ts < last_ts:
+                    raise TraceError(
+                        f"line {lineno}: timestamps decrease ({last_ts} -> {ts})")
+                last_ts = ts
+                try:
+                    price = to_units(row[2])
+                except Exception:
+                    raise TraceError(f"line {lineno}: bad price {row[2]!r}") from None
+                try:
+                    points.append(PricePoint(feed_id=row[1], price=price, publish_time=ts))
+                except FeedError as exc:
+                    raise TraceError(f"line {lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"trace is not valid text: {exc}") from None
+        except csv.Error as exc:    # a field past csv's size limit, a NUL byte, ...
+            raise TraceError(f"line {reader.line_num}: {exc}") from None
     return points

@@ -6,8 +6,12 @@ in a fixed order: price updates, fee accrual, trigger evaluation, then the
 explicit actions in declaration order, so replaying identical inputs yields
 byte-identical outputs.
 
-Engine errors are recorded in the receipts and the run continues; an
-InsolventVault error is fatal and halts the run with partial output flagged.
+A malformed scenario envelope (top-level keys, accounts, action time, actor
+and kind) stops the load with a ScenarioError. An action's params are
+checked against ACTION_PARAMS when the action runs: a missing, unknown or
+malformed param is a ScenarioError receipt and the run continues, as are
+engine errors. An InsolventVault error is fatal and halts the run with
+partial output flagged.
 """
 
 from __future__ import annotations
@@ -15,33 +19,39 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from decimal import Decimal
+from dataclasses import dataclass, fields
 
-from .config import load_market_config
+from .config import load_market_config, read_json
 from .engine import Direction, Engine, OrderKind, pool_metrics
 from .errors import InsolventVault, NotLiquidatable, ProtocolError, ScenarioError
 from .money import format9, format_units, to_units
 from .oracle import PricePoint, load_trace
 
-ACTION_KINDS = {"deposit", "redeem", "create_order", "settle_order",
-                "cancel_order", "liquidate_check"}
+
+def _id(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"not an integer id: {type(value).__name__}")
+    return value
+
+
+# action kind -> (a parser per param key, the keys it requires). A parser
+# returns the value the engine takes; each key is that call's keyword name.
+ACTION_PARAMS = {
+    "deposit": ({"assets": to_units}, ("assets",)),
+    "redeem": ({"shares": to_units}, ("shares",)),
+    "create_order": ({"kind": OrderKind, "direction": Direction, "size": to_units,
+                      "collateral": to_units, "acceptable_price": to_units,
+                      "max_slippage": to_units, "trigger_price": to_units,
+                      "position_id": _id}, ("kind", "direction")),
+    "settle_order": ({"order_id": _id}, ("order_id",)),
+    "cancel_order": ({"order_id": _id}, ("order_id",)),
+    "liquidate_check": ({"position_id": _id}, ()),
+}
+ACTION_KINDS = frozenset(ACTION_PARAMS)
 
 _SCENARIO_KEYS = {"market_config", "price_trace", "actions", "snapshot_interval",
                   "accounts", "primary_feed", "secondary_feed", "treasury_fee_share"}
 _ACTION_KEYS = {"time", "actor", "action", "params"}
-
-SNAPSHOT_HEADER = [
-    "time", "pool_value", "reserved", "long_oi", "short_oi", "utilization",
-    "skew", "borrow_rate_long", "borrow_rate_short", "cum_fee_index_long",
-    "cum_fee_index_short", "vault_shares", "share_price", "open_positions",
-    "open_collateral", "treasury",
-]
-RECEIPT_HEADER = [
-    "seq", "time", "actor", "action", "status", "order_id", "position_id",
-    "executed_price", "open_close_fee", "borrow_fee_paid", "realized_pnl",
-    "liquidation_fee", "shares_delta", "cash_delta",
-]
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,10 @@ class SnapshotRow:
         ]
 
 
+SNAPSHOT_HEADER = [f.name for f in fields(SnapshotRow)]
+RECEIPT_HEADER = [f.name for f in fields(ReceiptRow)]
+
+
 @dataclass
 class RunResult:
     snapshots: list[SnapshotRow]
@@ -139,17 +153,23 @@ class RunResult:
 
 # -- Scenario loading -----------------------------------------------------------
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, template: str, *args) -> None:
+    """Raise a ScenarioError unless `cond`; the message is formatted only then."""
     if not cond:
-        raise ScenarioError(message)
+        raise ScenarioError(template.format(*args))
+
+
+def _check_keys(obj: dict, known: set[str], template: str, *args) -> None:
+    """Raise a ScenarioError naming the keys of `obj` outside `known`, if any."""
+    if not obj.keys() <= known:
+        raise ScenarioError(template.format(*args, ", ".join(sorted(set(obj) - known))))
 
 
 def parse_scenario(raw: dict) -> Scenario:
     _require(isinstance(raw, dict), "scenario must be a JSON object")
-    unknown = sorted(set(raw) - _SCENARIO_KEYS)
-    _require(not unknown, f"unknown scenario keys: {', '.join(unknown)}")
+    _check_keys(raw, _SCENARIO_KEYS, "unknown scenario keys: {}")
     for key in ("market_config", "price_trace", "actions", "snapshot_interval", "accounts"):
-        _require(key in raw, f"missing scenario key: {key}")
+        _require(key in raw, "missing scenario key: {}", key)
     _require(isinstance(raw["snapshot_interval"], int) and not isinstance(raw["snapshot_interval"], bool)
              and raw["snapshot_interval"] >= 0,
              "snapshot_interval must be a non-negative integer (seconds)")
@@ -162,28 +182,29 @@ def parse_scenario(raw: dict) -> Scenario:
     last_time = None
     _require(isinstance(raw["actions"], list), "actions must be a list")
     for seq, entry in enumerate(raw["actions"]):
-        _require(isinstance(entry, dict), f"action #{seq} must be an object")
-        unknown = sorted(set(entry) - _ACTION_KEYS)
-        _require(not unknown, f"action #{seq}: unknown keys {', '.join(unknown)}")
+        _require(isinstance(entry, dict), "action #{} must be an object", seq)
+        _check_keys(entry, _ACTION_KEYS, "action #{}: unknown keys {}", seq)
         for key in ("time", "actor", "action"):
-            _require(key in entry, f"action #{seq}: missing {key}")
+            _require(key in entry, "action #{}: missing {}", seq, key)
         time = entry["time"]
         _require(isinstance(time, int) and not isinstance(time, bool) and time >= 0,
-                 f"action #{seq}: time must be a non-negative integer")
+                 "action #{}: time must be a non-negative integer", seq)
         _require(last_time is None or time >= last_time,
-                 f"action #{seq}: actions must be sorted by time")
+                 "action #{}: actions must be sorted by time", seq)
         last_time = time
         actor = entry["actor"]
-        _require(actor in account_set, f"action #{seq}: undefined account {actor!r}")
+        _require(isinstance(actor, str) and actor in account_set,
+                 "action #{}: undefined account {!r}", seq, actor)
         kind = entry["action"]
-        _require(kind in ACTION_KINDS, f"action #{seq}: unknown action {kind!r}")
+        _require(isinstance(kind, str) and kind in ACTION_KINDS,
+                 "action #{}: unknown action {!r}", seq, kind)
         params = entry.get("params", {})
-        _require(isinstance(params, dict), f"action #{seq}: params must be an object")
+        _require(isinstance(params, dict), "action #{}: params must be an object", seq)
         actions.append(Action(seq=seq, time=time, actor=actor, kind=kind, params=params))
 
     def _feed(key: str, default: str) -> str:
         value = raw.get(key, default)
-        _require(isinstance(value, str) and bool(value), f"{key} must be a non-empty string")
+        _require(isinstance(value, str) and bool(value), "{} must be a non-empty string", key)
         return value
 
     share = raw.get("treasury_fee_share", 0)
@@ -205,32 +226,27 @@ def parse_scenario(raw: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh, parse_float=Decimal, parse_int=int)
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}") from None
-    except ValueError as exc:   # bad JSON or text, or an int past int()'s digit limit
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
-    return parse_scenario(raw)
+    return parse_scenario(read_json(path, ScenarioError, "scenario"))
 
 
 # -- Action dispatch ---------------------------------------------------------------
 
-def _param_units(params: dict, key: str, seq: int) -> int:
-    if key not in params:
-        raise ScenarioError(f"action #{seq}: missing param {key!r}")
-    try:
-        return to_units(params[key])
-    except ProtocolError:
-        raise ScenarioError(f"action #{seq}: bad amount for {key!r}") from None
-
-
-def _param_int(params: dict, key: str, seq: int) -> int:
-    value = params.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"action #{seq}: {key!r} must be an integer")
-    return value
+def _parse_params(action: Action) -> dict:
+    """The action's params as the engine takes them; a bad one is a ScenarioError."""
+    parsers, required = ACTION_PARAMS[action.kind]
+    params = {}
+    for key, value in action.params.items():
+        parse = parsers.get(key)
+        if parse is None:
+            raise ScenarioError(f"action #{action.seq}: unknown param {key!r}")
+        try:
+            params[key] = parse(value)
+        except (ProtocolError, ValueError) as exc:
+            raise ScenarioError(f"action #{action.seq}: bad {key!r}: {exc}") from None
+    for key in required:
+        if key not in params:
+            raise ScenarioError(f"action #{action.seq}: missing param {key!r}")
+    return params
 
 
 class _Runner:
@@ -351,61 +367,37 @@ class _Runner:
     def _dispatch(self, action: Action) -> None:
         handler = getattr(self, f"_do_{action.kind}")
         try:
-            handler(action)
+            handler(action, _parse_params(action))
         except InsolventVault as exc:
             self._emit(action.time, action.actor, action.kind, exc.code)
             self.halted = True
         except ProtocolError as exc:
             self._emit(action.time, action.actor, action.kind, exc.code)
 
-    def _do_deposit(self, action: Action) -> None:
-        assets = _param_units(action.params, "assets", action.seq)
+    def _do_deposit(self, action: Action, params: dict) -> None:
+        assets = params["assets"]
         shares = self.engine.lp_deposit(action.actor, assets, action.time)
         self.cash[action.actor] -= assets
         self._emit(action.time, action.actor, action.kind, "ok",
                    shares_delta=shares, cash_delta=-assets)
 
-    def _do_redeem(self, action: Action) -> None:
-        shares = _param_units(action.params, "shares", action.seq)
+    def _do_redeem(self, action: Action, params: dict) -> None:
+        shares = params["shares"]
         assets = self.engine.lp_redeem(action.actor, shares, action.time)
         self.cash[action.actor] += assets
         self._emit(action.time, action.actor, action.kind, "ok",
                    shares_delta=-shares, cash_delta=assets)
 
-    def _do_create_order(self, action: Action) -> None:
-        params = dict(action.params)
-        kind_name = params.pop("kind", None)
-        direction_name = params.pop("direction", None)
-        try:
-            kind = OrderKind(kind_name)
-            direction = Direction(direction_name)
-        except ValueError:
-            raise ScenarioError(
-                f"action #{action.seq}: bad order kind/direction") from None
-        known = {"size", "collateral", "acceptable_price", "max_slippage",
-                 "trigger_price", "position_id"}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ScenarioError(
-                f"action #{action.seq}: unknown order params {', '.join(unknown)}")
-        position_id = None
-        if "position_id" in params:
-            position_id = _param_int(params, "position_id", action.seq)
-        kwargs = {}
-        for key in ("size", "collateral", "acceptable_price", "max_slippage",
-                    "trigger_price"):
-            if key in params:
-                kwargs[key] = _param_units(params, key, action.seq)
-        order_id = self.engine.create_order(
-            action.actor, kind, direction, position_id=position_id, **kwargs)
+    def _do_create_order(self, action: Action, params: dict) -> None:
+        order_id = self.engine.create_order(action.actor, **params)
         collateral = self.engine.escrow.get(order_id, 0)
         self.cash[action.actor] -= collateral
         self._emit(action.time, action.actor, action.kind, "ok",
                    order_id=order_id,
                    cash_delta=-collateral if collateral else None)
 
-    def _do_settle_order(self, action: Action) -> None:
-        order_id = _param_int(action.params, "order_id", action.seq)
+    def _do_settle_order(self, action: Action, params: dict) -> None:
+        order_id = params["order_id"]
         order = self.engine.orders.get(order_id)
         position_id = order.position_id if order is not None else None
         receipt = self.engine.settle_order(order_id, action.time)
@@ -413,8 +405,8 @@ class _Runner:
         self._emit_settlement(action.time, owner, action.kind, receipt,
                               order_id, position_id)
 
-    def _do_cancel_order(self, action: Action) -> None:
-        order_id = _param_int(action.params, "order_id", action.seq)
+    def _do_cancel_order(self, action: Action, params: dict) -> None:
+        order_id = params["order_id"]
         order = self.engine.orders.get(order_id)
         refund = self.engine.cancel_order(order_id)
         owner = order.owner if order is not None else action.actor
@@ -422,14 +414,9 @@ class _Runner:
         self._emit(action.time, owner, action.kind, "ok", order_id=order_id,
                    cash_delta=refund if refund else None)
 
-    def _do_liquidate_check(self, action: Action) -> None:
-        params = action.params
-        if "position_id" in params:
-            targets = [_param_int(params, "position_id", action.seq)]
-            sweep = False
-        else:
-            targets = sorted(self.engine.positions)
-            sweep = True
+    def _do_liquidate_check(self, action: Action, params: dict) -> None:
+        sweep = "position_id" not in params
+        targets = sorted(self.engine.positions) if sweep else [params["position_id"]]
         for position_id in targets:
             pos = self.engine.positions.get(position_id)
             owner = pos.owner if pos is not None else action.actor

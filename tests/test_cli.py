@@ -9,6 +9,8 @@ import pytest
 from perpamm.cli import main
 from test_scenario import FRICTIONLESS, act, both_feeds, build
 
+DEEP = "[" * 100_000 + "]" * 100_000     # nested past the recursion limit
+
 
 def test_curves_base_fee_csv(tmp_path, capsys):
     out = tmp_path / "fees.csv"
@@ -80,6 +82,7 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("base_fee", ["--params", '{"k_b": 0.01, "c_b": true}'], "InvalidGrid"),
     ("base_fee", ["--params", '{"k_b": 1, "zzz": 1}'], "InvalidGrid"),
     ("base_fee", ["--params", '{"k_b": 1, "cb": 1}'], "InvalidGrid"),   # misspelt c_b
+    pytest.param("base_fee", ["--params", DEEP], "InvalidGrid", id="params-deep-nesting"),
 ])
 def test_curves_non_finite_or_overflowing_input_is_one_error_line(
         tmp_path, capsys, kind, flags, code):
@@ -95,7 +98,8 @@ def test_curves_non_finite_or_overflowing_input_is_one_error_line(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("literal", ["1e400", "-1e400", "9" * 401])
+@pytest.mark.parametrize("literal", [
+    "1e400", "-1e400", "9" * 401, pytest.param(DEEP, id="deep-nesting")])
 def test_validate_overflowing_coefficient_is_config_error(tmp_path, capsys, literal):
     text = json.dumps(FRICTIONLESS)
     assert '"k_b": 0' in text
@@ -217,8 +221,14 @@ def test_run_missing_config_reports_error(tmp_path, capsys):
     ("config", "Infinity", "ConfigError"),
     ("config", "1e400", "ConfigError"),
     pytest.param("config", "1" + "0" * 5000, "ConfigError", id="config-5001-digit-int"),
+    pytest.param("treasury_fee_share", DEEP, "ScenarioError", id="scenario-deep-nesting"),
+    pytest.param("config", DEEP, "ConfigError", id="config-deep-nesting"),
     ("trace", "inf", "TraceError"),
     ("trace", "1e400", "TraceError"),
+    pytest.param("trace", "2000\udcff", "TraceError",        # the raw byte 0xff: not UTF-8
+                 id="trace-undecodable-byte"),
+    pytest.param("trace", "1" * 131_073, "TraceError",     # past csv's field size limit
+                 id="trace-field-too-large"),
 ])
 def test_run_non_finite_or_huge_amount(tmp_path, capsys, where, literal, code):
     scenario = build(
@@ -237,7 +247,9 @@ def test_run_non_finite_or_huge_amount(tmp_path, capsys, where, literal, code):
     }[where]
     text = (tmp_path / file).read_text()
     assert text.count(old) == 1
-    (tmp_path / file).write_text(text.replace(old, new.format(literal)))
+    # surrogateescape writes an escaped lone surrogate as its raw byte
+    (tmp_path / file).write_bytes(
+        text.replace(old, new.format(literal)).encode("utf-8", "surrogateescape"))
     out_dir = tmp_path / "out"
     exit_code = main(["run", "--config", str(tmp_path / "market.json"),
                       "--trace", str(tmp_path / "trace.csv"),

@@ -14,7 +14,8 @@ from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, pool_metrics
 from perpamm.errors import ScenarioError
 from perpamm.money import to_units
-from perpamm.scenario import Scenario, _Runner, load_scenario, run_files, write_outputs
+from perpamm.scenario import (
+    ACTION_KINDS, ACTION_PARAMS, Scenario, _Runner, load_scenario, run_files, write_outputs)
 
 U = to_units
 
@@ -211,6 +212,57 @@ def test_liquidate_check_sweep_and_explicit(tmp_path):
     assert liq.realized_pnl == -U(95)
 
 
+OPEN_LONG = dict(kind="market_open", direction="long", size=1000, collateral=100,
+                 acceptable_price=2000, max_slippage=1)
+
+
+# (action kind, what is wrong, its params): for each kind an unknown key, a
+# missing required key and a bad value
+@pytest.mark.parametrize("kind, problem, params", [
+    ("deposit", "unknown", {"assets": 1, "zzz": 1}),
+    ("deposit", "missing", {}),
+    ("deposit", "bad", {"assets": "abc"}),
+    ("redeem", "unknown", {"shares": 1, "zzz": 1}),
+    ("redeem", "missing", {}),
+    ("redeem", "bad", {"shares": "abc"}),
+    ("create_order", "unknown", dict(OPEN_LONG, zzz=1)),
+    ("create_order", "missing", {k: v for k, v in OPEN_LONG.items() if k != "kind"}),
+    ("create_order", "bad", dict(OPEN_LONG, kind="x")),
+    ("settle_order", "unknown", {"order_id": 1, "zzz": 1}),
+    ("settle_order", "missing", {}),
+    ("settle_order", "bad", {"order_id": True}),
+    ("cancel_order", "unknown", {"order_id": 1, "zzz": 1}),
+    ("cancel_order", "missing", {}),
+    ("cancel_order", "bad", {"order_id": True}),
+    ("liquidate_check", "unknown", {"positon_id": 1}),     # misspelt: must not sweep
+    ("liquidate_check", "bad", {"position_id": None}),
+])
+def test_bad_action_params_are_a_receipt_and_the_run_goes_on(
+        tmp_path, kind, problem, params):
+    path = build(
+        tmp_path,
+        trace_rows=both_feeds(0, 2000) + both_feeds(60, 1810),
+        actions=[
+            act(0, "lp", "deposit", assets=10000),
+            act(0, "trader", "create_order", **OPEN_LONG),
+            act(0, "trader", "settle_order", order_id=1),
+            {"time": 60, "actor": "lp", "action": kind, "params": params},
+            act(60, "lp", "deposit", assets=1),
+        ])
+    result = run_files(path)
+    at_60 = [(r.action, r.status) for r in result.receipts if r.time == 60]
+    assert at_60 == [(kind, "ScenarioError"), ("deposit", "ok")]
+    assert list(result.engine.positions) == [1]   # liquidatable at 1810, still open
+    assert not result.halted
+
+
+def test_action_table_kinds_are_the_runner_handlers():
+    handlers = {name[len("_do_"):] for name in vars(_Runner) if name.startswith("_do_")}
+    assert handlers == set(ACTION_PARAMS) == ACTION_KINDS
+    for parsers, required in ACTION_PARAMS.values():
+        assert set(required) <= set(parsers)
+
+
 def count_calls(monkeypatch, original) -> list[int]:
     """Count calls to `original` under every perpamm module name bound to it."""
     calls = [0]
@@ -303,4 +355,12 @@ def test_loader_rejects_unknown_action_kind(tmp_path):
         {"time": 0, "actor": "lp", "action": "teleport", "params": {}},
     ])
     with pytest.raises(ScenarioError, match="teleport"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("key", ["actor", "action"])
+def test_loader_rejects_unhashable_actor_or_kind(tmp_path, key):
+    entry = dict(act(0, "lp", "deposit", assets=1), **{key: ["lp"]})
+    path = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[entry])
+    with pytest.raises(ScenarioError, match=r"\['lp'\]"):
         load_scenario(path)
