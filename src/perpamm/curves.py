@@ -8,10 +8,11 @@ Pure functions over three parameter sets:
   to the side with the larger open interest.
 
 Utilization, skew, deviation and fee rates are all expressed on a 0-100
-percent scale; fee rates are annualized. Raw math runs in binary64; every
-value returned here is quantized to nine fractional decimal digits
-(round-half-even) so downstream state and reports are platform-stable.
-Quotes are exact integer arithmetic on prices in 1e-9 units.
+percent scale; fee rates are annualized. Raw math runs in binary64
+(:func:`parabola`, :func:`sigmoid`); every value the ``eval_*`` functions
+return is quantized to nine fractional decimal digits (round-half-even) so
+downstream state and reports are platform-stable. Quotes are exact integer
+arithmetic on prices in 1e-9 units.
 """
 
 from __future__ import annotations
@@ -67,29 +68,45 @@ class DynamicFeeParams:
             raise DomainError("sigmoid steepness must be positive")
 
 
-def _check_utilization(u: float) -> None:
+def check_utilization(u: float) -> None:
     if not 0.0 <= u <= 100.0:
         raise DomainError(f"utilization {u} outside [0, 100]")
 
 
+def check_skew(skew_pct: float) -> None:
+    if skew_pct < 0:
+        raise DomainError(f"skew {skew_pct} must be non-negative")
+
+
+# The raw binary64 curves, each formula once: (x, coefficient, constant) -> value.
+
+def parabola(u: float, k: float, c: float) -> float:
+    """k*u^2 + c: the deviation (k_delta, c_d) and base-fee (k_b, c_b) curves."""
+    return k * u * u + c
+
+
+def sigmoid(skew_pct: float, steepness: float, m_max: float) -> float:
+    """m_max * (1 - e) / (1 + e) with e = exp(-steepness * skew): the dynamic-fee curve."""
+    e = math.exp(-steepness * skew_pct)
+    return m_max * (1.0 - e) / (1.0 + e)
+
+
 def eval_deviation(u: float, p: DeviationParams) -> float:
     """Price deviation in percent at utilization u (0-100)."""
-    _check_utilization(u)
-    return quantize9(p.k_delta * u * u + p.c_d)
+    check_utilization(u)
+    return quantize9(parabola(u, p.k_delta, p.c_d))
 
 
 def eval_base_fee(u: float, p: BaseFeeParams) -> float:
     """Annualized base borrowing fee in percent at utilization u (0-100)."""
-    _check_utilization(u)
-    return quantize9(p.k_b * u * u + p.c_b)
+    check_utilization(u)
+    return quantize9(parabola(u, p.k_b, p.c_b))
 
 
 def eval_dynamic_fee(skew_pct: float, p: DynamicFeeParams) -> float:
     """Annualized dynamic borrowing fee in percent at skew (percent, >= 0)."""
-    if skew_pct < 0:
-        raise DomainError(f"skew {skew_pct} must be non-negative")
-    e = math.exp(-p.steepness * skew_pct)
-    return quantize9(p.m_max * (1.0 - e) / (1.0 + e))
+    check_skew(skew_pct)
+    return quantize9(sigmoid(skew_pct, p.steepness, p.m_max))
 
 
 def compute_skew(long_oi, short_oi, pool_value) -> float:

@@ -7,25 +7,28 @@ Four table kinds:
 * ``base_fee``: base borrowing fee, one column per coefficient;
 * ``dynamic_fee``: dynamic borrowing fee over skew, one column per steepness.
 
-Grid points are exact decimals (``lo:hi:step`` must divide evenly) and every
-curve value is printed with nine fractional digits so the files are stable
-golden artifacts.
+Grid points are exact decimals (``lo:hi:step`` must divide evenly). A
+coefficient-table value is the raw binary64 curve value printed once with
+nine fractional digits (:func:`~perpamm.money.format9`), the same bytes as
+quantizing it first, so the files are stable golden artifacts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation
-from functools import partial
+from itertools import repeat
 
 from .curves import (
     BaseFeeParams,
     DeviationParams,
     DynamicFeeParams,
-    eval_base_fee,
-    eval_deviation,
-    eval_dynamic_fee,
+    check_skew,
+    check_utilization,
+    parabola,
     quote_nanos,
+    sigmoid,
 )
 from .errors import DomainError, InvalidGrid
 from .money import format9, format_nanos
@@ -76,25 +79,27 @@ class FigureTable:
     rows: list[list[str]]
 
 
-def _fmt_point(point: Decimal) -> str:
-    return format(point, "f")
-
-
 def emit_figure_data(kind: str, params: dict, grid: Grid) -> FigureTable:
     """Build the table for one figure kind.
 
     ``params`` keys by kind (coefficient lists are Decimals so column labels
-    keep their literal spelling):
+    keep their literal spelling); a key the kind does not read is an error:
 
     * deviation_price: price, k_delta (exactly one), c_d
     * deviation_pct:   k_delta (one or more), c_d
     * base_fee:        k_b (one or more), c_b
     * dynamic_fee:     steepness (one or more), m_max
     """
-    build = _TABLES.get(kind)
-    if build is None:
+    reads = FIGURE_PARAMS.get(kind)
+    if reads is None:
         raise InvalidGrid(f"unknown figure kind {kind!r}")
-    return build(params, grid)
+    unread = sorted(params.keys() - reads)
+    if unread:
+        raise InvalidGrid(f"{kind} does not read {', '.join(unread)}; "
+                          f"it reads {', '.join(sorted(reads))}")
+    if kind == "deviation_price":
+        return _deviation_price(params, grid)
+    return _coefficient_table(params, grid, *_COEFFICIENT_TABLES[kind])
 
 
 def _one_or_more(params: dict, key: str) -> list[Decimal]:
@@ -102,6 +107,10 @@ def _one_or_more(params: dict, key: str) -> list[Decimal]:
     if not values:
         raise InvalidGrid(f"figure needs at least one {key} value")
     return list(values)
+
+
+def _labels(points: list[Decimal]) -> list[str]:
+    return [format(point, "f") for point in points]
 
 
 # a 9-digit value has at most 50 significant digits; a longer price is a DomainError
@@ -122,39 +131,51 @@ def _deviation_price(params: dict, grid: Grid) -> FigureTable:
     except InvalidOperation:
         raise DomainError(f"{price:.6g} has no 9-digit fixed-point value") from None
     price_text = format_nanos(price_nanos)
-    rows = []
-    for point in grid.points():
-        long_q, short_q = quote_nanos(price_nanos, float(point), p)
-        rows.append([_fmt_point(point), price_text,
-                     format_nanos(long_q), format_nanos(short_q)])
+    points = grid.points()
+    quotes = map(quote_nanos, repeat(price_nanos), map(float, points), repeat(p))
+    rows = [[label, price_text, format_nanos(long_q), format_nanos(short_q)]
+            for label, (long_q, short_q) in zip(_labels(points), quotes)]
     return FigureTable(
         header=["utilization", "oracle_price", "deviated_price_long", "deviated_price_short"],
         rows=rows)
 
 
-def _coefficient_table(x_name: str, key: str, const_key: str, label: str, make, curve,
-                       params: dict, grid: Grid) -> FigureTable:
-    """One column per coefficient in params[key]: curve(x, make(coefficient, constant))."""
+def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_key: str,
+                       label: str, params_type: type, check: Callable[[float], None],
+                       raw: Callable[[float, float, float], float]) -> FigureTable:
+    """One column per coefficient in params[key]: raw(x, coefficient, constant).
+
+    ``key`` and ``const_key`` are also the field names of ``params_type``,
+    which checks each (coefficient, constant) pair; ``check`` is the curve's
+    domain check on x.
+    """
     const = float(params.get(const_key, 0))
     coefficients = _one_or_more(params, key)
-    series = [make(float(c), const) for c in coefficients]
-    rows = [[_fmt_point(point)] + [format9(curve(float(point), p)) for p in series]
-            for point in grid.points()]
-    return FigureTable(header=[x_name] + [f"{label}{c}" for c in coefficients], rows=rows)
+    ks = [float(c) for c in coefficients]
+    for k in ks:
+        params_type(**{key: k, const_key: const})
+    points = grid.points()
+    xs = list(map(float, points))
+    for x in xs:
+        check(x)
+    # each value is the raw binary64 curve printed once: format9(quantize9(v)) == format9(v)
+    columns = [map(format9, map(raw, xs, repeat(k), repeat(const))) for k in ks]
+    return FigureTable(header=[x_name] + [f"{label}{c}" for c in coefficients],
+                       rows=list(map(list, zip(_labels(points), *columns))))
 
 
-# The curves are called through their module names, so a wrapper installed over
-# those names (the benchmark's tracer) sees every call.
-_TABLES = {
-    "deviation_price": _deviation_price,
-    "deviation_pct": partial(_coefficient_table, "utilization", "k_delta", "c_d",
-                             "deviation_kd_", DeviationParams,
-                             lambda x, p: eval_deviation(x, p)),
-    "base_fee": partial(_coefficient_table, "utilization", "k_b", "c_b",
-                        "base_fee_kb_", BaseFeeParams, lambda x, p: eval_base_fee(x, p)),
-    "dynamic_fee": partial(_coefficient_table, "market_skew", "steepness", "m_max",
-                           "dynamic_fee_k_",
-                           lambda k, m_max: DynamicFeeParams(m_max=m_max, steepness=k),
-                           lambda x, p: eval_dynamic_fee(x, p)),
+# kind -> the arguments of _coefficient_table after (params, grid)
+_COEFFICIENT_TABLES = {
+    "deviation_pct": ("utilization", "k_delta", "c_d", "deviation_kd_",
+                      DeviationParams, check_utilization, parabola),
+    "base_fee": ("utilization", "k_b", "c_b", "base_fee_kb_",
+                 BaseFeeParams, check_utilization, parabola),
+    "dynamic_fee": ("market_skew", "steepness", "m_max", "dynamic_fee_k_",
+                    DynamicFeeParams, check_skew, sigmoid),
 }
-FIGURE_KINDS = tuple(_TABLES)
+# the params keys each figure kind reads
+FIGURE_PARAMS = {
+    "deviation_price": frozenset({"price", "k_delta", "c_d"}),
+    **{kind: frozenset(args[1:3]) for kind, args in _COEFFICIENT_TABLES.items()},
+}
+FIGURE_KINDS = tuple(FIGURE_PARAMS)

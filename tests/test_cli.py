@@ -83,6 +83,10 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("base_fee", ["--params", '{"k_b": 1, "zzz": 1}'], "InvalidGrid"),
     ("base_fee", ["--params", '{"k_b": 1, "cb": 1}'], "InvalidGrid"),   # misspelt c_b
     pytest.param("base_fee", ["--params", DEEP], "InvalidGrid", id="params-deep-nesting"),
+    # a param the kind does not read, which used to be ignored
+    ("base_fee", ["--kb", "0.01", "--cd", "0.5"], "InvalidGrid"),   # --cb meant
+    ("base_fee", ["--params", '{"k_b": 0.01, "m_max": 3}'], "InvalidGrid"),
+    ("deviation_pct", ["--kd", "0.01", "--price", "5"], "InvalidGrid"),
 ])
 def test_curves_non_finite_or_overflowing_input_is_one_error_line(
         tmp_path, capsys, kind, flags, code):
@@ -95,6 +99,18 @@ def test_curves_non_finite_or_overflowing_input_is_one_error_line(
     assert main(["curves", "--kind", kind, *flags, *grid, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"ERROR {code}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("base_fee", ["--kb", "0.01"]),
+    ("deviation_pct", ["--kd", "0.01"]),
+])
+def test_curves_grid_beyond_full_utilization_names_the_first_point(
+        tmp_path, capsys, kind, flags):
+    out = tmp_path / "x.csv"
+    assert main(["curves", "--kind", kind, *flags, "--grid", "0:150:1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ERROR DomainError: utilization 101.0 outside [0, 100]\n"
     assert not out.exists()
 
 

@@ -5,9 +5,21 @@ from __future__ import annotations
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perpamm.errors import InvalidGrid
-from perpamm.figures import Grid, emit_figure_data
+from perpamm.curves import (
+    BaseFeeParams,
+    DeviationParams,
+    DynamicFeeParams,
+    eval_base_fee,
+    eval_deviation,
+    eval_dynamic_fee,
+)
+from perpamm.errors import DomainError, InvalidGrid
+from perpamm.figures import FIGURE_PARAMS, Grid, emit_figure_data
+from perpamm.money import format9, quantize9
+from test_scenario import count_calls
 
 
 def D(text):
@@ -90,3 +102,69 @@ def test_missing_params_rejected():
                          Grid.parse("0:100:1"))
     with pytest.raises(InvalidGrid):
         emit_figure_data("nonsense", {}, Grid.parse("0:100:1"))
+
+
+# kind -> (coefficient key, constant key, curve evaluated by the engine, its params)
+ENGINE_CURVES = {
+    "deviation_pct": ("k_delta", "c_d", eval_deviation,
+                      lambda k, c: DeviationParams(k_delta=k, c_d=c)),
+    "base_fee": ("k_b", "c_b", eval_base_fee, lambda k, c: BaseFeeParams(k_b=k, c_b=c)),
+    "dynamic_fee": ("steepness", "m_max", eval_dynamic_fee,
+                    lambda k, c: DynamicFeeParams(m_max=c, steepness=k)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_CURVES))
+def test_coefficient_table_prints_each_value_once(monkeypatch, kind):
+    key, const_key, _, _ = ENGINE_CURVES[kind]
+    params = {key: [D("0.0125"), D("0.0225"), D("0.0325")], const_key: D("1.5")}
+    quantized = count_calls(monkeypatch, quantize9)
+    formatted = count_calls(monkeypatch, format9)
+    table = emit_figure_data(kind, params, Grid.parse("0:100:0.5"))
+    assert len(table.rows) == 201
+    assert quantized[0] == 0
+    assert formatted[0] == 201 * 3
+
+
+coefficients = st.decimals(min_value=D("0.000000001"), max_value=D("100000"), places=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(ENGINE_CURVES)),
+       ks=st.lists(coefficients, min_size=1, max_size=3),
+       const=st.decimals(min_value=0, max_value=D("1000"), places=6),
+       lo=st.integers(0, 5000), step=st.sampled_from(["0.005", "0.1", "0.25", "1", "2.5"]),
+       count=st.integers(1, 20))
+def test_coefficient_table_cells_are_the_engine_curve(kind, ks, const, lo, step, count):
+    key, const_key, curve, make = ENGINE_CURVES[kind]
+    first, step_ = D(lo) / 100, D(step)
+    grid = Grid.parse(f"{first}:{first + step_ * (count - 1)}:{step}")
+    table = emit_figure_data(kind, {key: ks, const_key: const}, grid)
+    series = [make(float(k), float(const)) for k in ks]
+    for point, row in zip(grid.points(), table.rows):
+        assert row == [format(point, "f")] + [format9(curve(float(point), p)) for p in series]
+
+
+def test_negative_skew_grid_is_the_curve_domain_error():
+    with pytest.raises(DomainError) as exc:
+        emit_figure_data("dynamic_fee", {"steepness": [D("0.01")], "m_max": D("500")},
+                         Grid.parse("-1:10:1"))
+    assert str(exc.value) == "skew -1.0 must be non-negative"
+
+
+READS = {
+    "deviation_price": {"price": D("2000"), "k_delta": [D("0.0004")], "c_d": D("0")},
+    "deviation_pct": {"k_delta": [D("0.0004")], "c_d": D("0")},
+    "base_fee": {"k_b": [D("0.01")], "c_b": D("0")},
+    "dynamic_fee": {"steepness": [D("0.01")], "m_max": D("500")},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_a_key_the_kind_does_not_read_is_rejected(kind):
+    grid = Grid.parse("0:100:50")
+    assert FIGURE_PARAMS[kind] == set(READS[kind])
+    emit_figure_data(kind, READS[kind], grid)
+    for other in set().union(*map(set, READS.values())) - set(READS[kind]):
+        with pytest.raises(InvalidGrid, match=f"{kind} does not read {other};"):
+            emit_figure_data(kind, {**READS[kind], other: D("1")}, grid)

@@ -84,6 +84,26 @@ def test_nine_digit_bound_is_ten_to_the_41(x):
             format9(x)
 
 
+def _ulps_from(x: float, n: int) -> float:
+    return from_bits(struct.unpack("<Q", struct.pack("<d", x))[0] + n)
+
+
+printable_doubles = st.one_of(
+    finite_doubles.filter(lambda x: abs(x) < 10**41),
+    # an ulp is below 1e-9 up to 2**23 and above it from there on
+    st.builds(lambda bound, n, sign: sign * _ulps_from(bound, n),
+              st.sampled_from([2.0**22, 2.0**23]), st.integers(-2**20, 2**20),
+              st.sampled_from([1.0, -1.0])),
+)
+
+
+@settings(max_examples=2000)
+@given(printable_doubles)
+def test_printing_a_quantized_value_prints_the_value(x):
+    """A figure table prints the raw curve value once; this is why the bytes match."""
+    assert format9(quantize9(x)) == format9(x)
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_has_no_nine_digit_value(x):
     with pytest.raises(DomainError):
