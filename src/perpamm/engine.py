@@ -141,12 +141,13 @@ class Position:
 
 @dataclass(frozen=True)
 class Order:
+    """A pending order; an open order's collateral is its `Engine.escrow` entry."""
+
     order_id: int
     owner: str
     kind: OrderKind
     direction: Direction
     size: int
-    collateral: int
     acceptable_price: int
     max_slippage: int      # percent, base units
     trigger_price: int     # 0 unless a trigger kind
@@ -281,8 +282,6 @@ class Engine:
     def __init__(
         self,
         config: MarketConfig,
-        vault: VaultState | None = None,
-        feeds: FeedStore | None = None,
         treasury_fee_share: int = 0,   # percent of fees, base units
         primary_feed: str = "primary",
         secondary_feed: str = "secondary",
@@ -293,8 +292,8 @@ class Engine:
         if not 0 <= treasury_fee_share <= 100 * UNIT_SCALE:
             raise DomainError("treasury_fee_share must be within [0, 100]%")
         self.config = config
-        self.vault = vault if vault is not None else VaultState()
-        self.feeds = feeds if feeds is not None else FeedStore()
+        self.vault = VaultState()
+        self.feeds = FeedStore()
         self.treasury_fee_share = treasury_fee_share
         self.primary_feed = primary_feed
         self.secondary_feed = secondary_feed
@@ -386,8 +385,8 @@ class Engine:
             if position_id is None:
                 raise DomainError("close orders need a position_id")
         order_id = self._next_order_id
-        order = Order(order_id, owner, kind, direction, size, collateral,
-                      acceptable_price, max_slippage, trigger_price, position_id)
+        order = Order(order_id, owner, kind, direction, size, acceptable_price,
+                      max_slippage, trigger_price, position_id)
         self._next_order_id += 1
         self.orders[order_id] = order
         if kind in OPEN_KINDS:
@@ -492,7 +491,7 @@ class Engine:
     def _execute_open(self, order: Order, exec_price: int,
                       pool: PoolState) -> SettlementReceipt:
         fee = pct_of(order.size, self.config.open_close_fee_rate)
-        net_collateral = order.collateral - fee
+        net_collateral = self.escrow[order.order_id] - fee
         if net_collateral <= 0:
             raise InsufficientCollateral("open fee consumes the entire collateral")
         cut = self._treasury_cut(fee)

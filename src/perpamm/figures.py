@@ -15,6 +15,7 @@ quantizing it first, so the files are stable golden artifacts.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation
@@ -109,6 +110,12 @@ def _one_or_more(params: dict, key: str) -> list[Decimal]:
     return list(values)
 
 
+def _float(value) -> float:
+    """A Decimal parameter as a float. A signalling NaN, which float() refuses,
+    reads as NaN, so the params' finiteness check rejects both alike."""
+    return math.nan if Decimal(value).is_snan() else float(value)
+
+
 def _labels(points: list[Decimal]) -> list[str]:
     return [format(point, "f") for point in points]
 
@@ -124,7 +131,7 @@ def _deviation_price(params: dict, grid: Grid) -> FigureTable:
     k_deltas = _one_or_more(params, "k_delta")
     if len(k_deltas) != 1:
         raise InvalidGrid("deviation_price takes exactly one k_delta")
-    p = DeviationParams(k_delta=float(k_deltas[0]), c_d=float(params.get("c_d", 0)))
+    p = DeviationParams(k_delta=_float(k_deltas[0]), c_d=_float(params.get("c_d", 0)))
     try:   # the price in integer 1e-9 units, rounded half-even once
         price_nanos = int(price.quantize(Decimal("1e-9"), context=_PRICE_CONTEXT).scaleb(
             9, context=_PRICE_CONTEXT))
@@ -149,9 +156,9 @@ def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_ke
     which checks each (coefficient, constant) pair; ``check`` is the curve's
     domain check on x.
     """
-    const = float(params.get(const_key, 0))
+    const = _float(params.get(const_key, 0))
     coefficients = _one_or_more(params, key)
-    ks = [float(c) for c in coefficients]
+    ks = [_float(c) for c in coefficients]
     for k in ks:
         params_type(**{key: k, const_key: const})
     points = grid.points()

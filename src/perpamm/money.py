@@ -20,6 +20,10 @@ from .errors import ConfigError, DomainError
 
 UNIT_SCALE = 10**6          # base units per whole money/percent/ratio unit
 SECONDS_PER_YEAR = 31_536_000   # 365-day year for annualized-rate conversion
+# Latest timestamp, in seconds, a trace row or an action may carry: a year
+# fraction then stays below 3e11, so fee accrual stays finite at every rate
+# quantize9 accepts.
+MAX_TIMESTAMP = 2**63 - 1
 
 # exact for every finite Decimal: never rounds, overflows or underflows
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DeviationTooHigh, DomainError, FeedError, StaleFeed, TraceError
-from .money import UNIT_SCALE, to_units
+from .money import MAX_TIMESTAMP, UNIT_SCALE, to_units
 
 TRACE_HEADER = ["timestamp", "feed_id", "price"]
 
@@ -132,6 +132,8 @@ def load_trace(path: str) -> list[PricePoint]:
                     ts = int(row[0])
                 except ValueError:
                     raise TraceError(f"line {lineno}: bad timestamp {row[0]!r}") from None
+                if ts > MAX_TIMESTAMP:
+                    raise TraceError(f"line {lineno}: timestamp beyond {MAX_TIMESTAMP}")
                 if last_ts is not None and ts < last_ts:
                     raise TraceError(
                         f"line {lineno}: timestamps decrease ({last_ts} -> {ts})")

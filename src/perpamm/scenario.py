@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from .config import load_market_config, read_json
 from .engine import Direction, Engine, OrderKind, pool_metrics
 from .errors import InsolventVault, NotLiquidatable, ProtocolError, ScenarioError
-from .money import format9, format_units, to_units
+from .money import MAX_TIMESTAMP, format9, format_units, to_units
 from .oracle import PricePoint, load_trace
 
 
@@ -187,8 +187,9 @@ def parse_scenario(raw: dict) -> Scenario:
         for key in ("time", "actor", "action"):
             _require(key in entry, "action #{}: missing {}", seq, key)
         time = entry["time"]
-        _require(isinstance(time, int) and not isinstance(time, bool) and time >= 0,
-                 "action #{}: time must be a non-negative integer", seq)
+        _require(isinstance(time, int) and not isinstance(time, bool)
+                 and 0 <= time <= MAX_TIMESTAMP,
+                 "action #{}: time must be an integer in [0, {}]", seq, MAX_TIMESTAMP)
         _require(last_time is None or time >= last_time,
                  "action #{}: actions must be sorted by time", seq)
         last_time = time
@@ -259,19 +260,26 @@ class _Runner:
         self.receipts: list[ReceiptRow] = []
         self.snapshots: list[SnapshotRow] = []
         self.halted = False
-        self._receipt_seq = 0
 
     # receipts ----------------------------------------------------------------
+    # Each outcome is one row, appended by _emit, which also moves the actor's
+    # cash by the row's cash_delta; _failed is the one place an error becomes
+    # a row.
 
     def _emit(self, time: int, actor: str, action: str, status: str, **fields) -> None:
-        self._receipt_seq += 1
-        self.receipts.append(ReceiptRow(seq=self._receipt_seq, time=time,
-                                        actor=actor, action=action, status=status,
-                                        **fields))
+        row = ReceiptRow(len(self.receipts) + 1, time, actor, action, status, **fields)
+        self.receipts.append(row)
+        if row.cash_delta:
+            self.cash[actor] += row.cash_delta
+
+    def _failed(self, time: int, actor: str, action: str, exc: ProtocolError,
+                **ids) -> None:
+        self._emit(time, actor, action, exc.code, **ids)
+        if isinstance(exc, InsolventVault):
+            self.halted = True
 
     def _emit_settlement(self, time: int, actor: str, action: str, receipt,
                          order_id: int | None, position_id: int | None) -> None:
-        self.cash[actor] = self.cash.get(actor, 0) + receipt.payout
         self._emit(time, actor, action, "ok", order_id=order_id,
                    position_id=position_id, executed_price=receipt.executed_price,
                    open_close_fee=receipt.open_close_fee,
@@ -321,15 +329,13 @@ class _Runner:
             try:
                 self.engine.accrue(t)                    # 2. fee accrual
             except InsolventVault as exc:
-                self._emit(t, "", "accrue", exc.code)
-                self.halted = True
+                self._failed(t, "", "accrue", exc)
             if not self.halted:
                 self._run_triggers(t)                    # 3. trigger evaluation
-            if not self.halted:
-                for action in by_time_actions.get(t, ()):  # 4. explicit actions
-                    self._dispatch(action)
-                    if self.halted:
-                        break
+            for action in by_time_actions.get(t, ()):    # 4. explicit actions
+                if self.halted:
+                    break
+                self._dispatch(action)
             if interval == 0 or t >= next_due or self.halted or t == timeline[-1]:
                 self._snapshot(t)
                 if interval > 0:
@@ -342,25 +348,22 @@ class _Runner:
                          engine=self.engine, cash=self.cash, halted=self.halted)
 
     def _run_triggers(self, t: int) -> None:
-        mark = self.engine.feeds.latest_price(self.scenario.primary_feed)
+        engine = self.engine
+        mark = engine.feeds.latest_price(engine.primary_feed)
         if mark is None:
             return
-        for order_id in self.engine.evaluate_triggers(mark):
-            order = self.engine.orders[order_id]
-            position_id = order.position_id
+        for order_id in engine.evaluate_triggers(mark):
+            order = engine.orders[order_id]
             try:
-                receipt = self.engine.settle_order(order_id, t)
-            except InsolventVault as exc:
-                self._emit(t, order.owner, "trigger_settle", exc.code,
-                           order_id=order_id, position_id=position_id)
-                self.halted = True
-                return
+                receipt = engine.settle_order(order_id, t)
             except ProtocolError as exc:
-                self._emit(t, order.owner, "trigger_settle", exc.code,
-                           order_id=order_id, position_id=position_id)
-                continue
-            self._emit_settlement(t, order.owner, "trigger_settle", receipt,
-                                  order_id, position_id)
+                self._failed(t, order.owner, "trigger_settle", exc,
+                             order_id=order_id, position_id=order.position_id)
+                if self.halted:
+                    return
+            else:
+                self._emit_settlement(t, order.owner, "trigger_settle", receipt,
+                                      order_id, order.position_id)
 
     # dispatch --------------------------------------------------------------------
 
@@ -368,50 +371,40 @@ class _Runner:
         handler = getattr(self, f"_do_{action.kind}")
         try:
             handler(action, _parse_params(action))
-        except InsolventVault as exc:
-            self._emit(action.time, action.actor, action.kind, exc.code)
-            self.halted = True
         except ProtocolError as exc:
-            self._emit(action.time, action.actor, action.kind, exc.code)
+            self._failed(action.time, action.actor, action.kind, exc)
 
     def _do_deposit(self, action: Action, params: dict) -> None:
         assets = params["assets"]
         shares = self.engine.lp_deposit(action.actor, assets, action.time)
-        self.cash[action.actor] -= assets
         self._emit(action.time, action.actor, action.kind, "ok",
                    shares_delta=shares, cash_delta=-assets)
 
     def _do_redeem(self, action: Action, params: dict) -> None:
         shares = params["shares"]
         assets = self.engine.lp_redeem(action.actor, shares, action.time)
-        self.cash[action.actor] += assets
         self._emit(action.time, action.actor, action.kind, "ok",
                    shares_delta=-shares, cash_delta=assets)
 
     def _do_create_order(self, action: Action, params: dict) -> None:
         order_id = self.engine.create_order(action.actor, **params)
         collateral = self.engine.escrow.get(order_id, 0)
-        self.cash[action.actor] -= collateral
         self._emit(action.time, action.actor, action.kind, "ok",
                    order_id=order_id,
                    cash_delta=-collateral if collateral else None)
 
     def _do_settle_order(self, action: Action, params: dict) -> None:
         order_id = params["order_id"]
-        order = self.engine.orders.get(order_id)
-        position_id = order.position_id if order is not None else None
+        order = self.engine.orders.get(order_id)   # None only if the call raises
         receipt = self.engine.settle_order(order_id, action.time)
-        owner = order.owner if order is not None else action.actor
-        self._emit_settlement(action.time, owner, action.kind, receipt,
-                              order_id, position_id)
+        self._emit_settlement(action.time, order.owner, action.kind, receipt,
+                              order_id, order.position_id)
 
     def _do_cancel_order(self, action: Action, params: dict) -> None:
         order_id = params["order_id"]
-        order = self.engine.orders.get(order_id)
+        order = self.engine.orders.get(order_id)   # None only if the call raises
         refund = self.engine.cancel_order(order_id)
-        owner = order.owner if order is not None else action.actor
-        self.cash[owner] = self.cash.get(owner, 0) + refund
-        self._emit(action.time, owner, action.kind, "ok", order_id=order_id,
+        self._emit(action.time, order.owner, action.kind, "ok", order_id=order_id,
                    cash_delta=refund if refund else None)
 
     def _do_liquidate_check(self, action: Action, params: dict) -> None:
@@ -422,22 +415,15 @@ class _Runner:
             owner = pos.owner if pos is not None else action.actor
             try:
                 receipt = self.engine.liquidate(position_id, action.time)
-            except InsolventVault as exc:
-                self._emit(action.time, owner, action.kind, exc.code,
-                           position_id=position_id)
-                self.halted = True
-                return
-            except NotLiquidatable as exc:
-                if not sweep:
-                    self._emit(action.time, owner, action.kind, exc.code,
-                               position_id=position_id)
-                continue
             except ProtocolError as exc:
-                self._emit(action.time, owner, action.kind, exc.code,
-                           position_id=position_id)
-                continue
-            self._emit_settlement(action.time, owner, action.kind, receipt,
-                                  None, position_id)
+                if not (sweep and isinstance(exc, NotLiquidatable)):
+                    self._failed(action.time, owner, action.kind, exc,
+                                 position_id=position_id)
+                    if self.halted:
+                        return
+            else:
+                self._emit_settlement(action.time, owner, action.kind, receipt,
+                                      None, position_id)
 
 
 # -- Entrypoints --------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from perpamm.cli import main
+from perpamm.money import MAX_TIMESTAMP
 from test_scenario import FRICTIONLESS, act, both_feeds, build
 
 DEEP = "[" * 100_000 + "]" * 100_000     # nested past the recursion limit
@@ -66,6 +67,12 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("dynamic_fee", ["--k", "inf", "--m-max", "500"], "DomainError"),
     ("dynamic_fee", ["--k", "0.01", "--m-max", "inf"], "DomainError"),
     ("deviation_pct", ["--kd", "0.0004", "--cd", "inf"], "DomainError"),
+    # a signalling NaN is a NaN, not a float() traceback
+    ("deviation_pct", ["--kd", "sNaN"], "DomainError"),
+    ("base_fee", ["--kb", "0.01", "--cb", "sNaN"], "DomainError"),
+    ("dynamic_fee", ["--k", "0.01", "--m-max", "sNaN"], "DomainError"),
+    ("deviation_price", ["--price", "2000", "--kd", "sNaN"], "DomainError"),
+    ("base_fee", ["--params", '{"k_b": "sNaN"}'], "DomainError"),
     ("deviation_price", ["--price", "nan", "--kd", "0.0004"], "InvalidGrid"),
     ("deviation_price", ["--price", "inf", "--kd", "0.0004"], "InvalidGrid"),
     ("deviation_price", ["--price", "1e400", "--kd", "0.0004"], "DomainError"),
@@ -245,6 +252,11 @@ def test_run_missing_config_reports_error(tmp_path, capsys):
                  id="trace-undecodable-byte"),
     pytest.param("trace", "1" * 131_073, "TraceError",     # past csv's field size limit
                  id="trace-field-too-large"),
+    # a timestamp past MAX_TIMESTAMP, which used to overflow the year fraction
+    pytest.param("trace_time", str(10**400), "TraceError", id="trace-time-10**400"),
+    pytest.param("action_time", str(10**400), "ScenarioError", id="action-time-10**400"),
+    ("trace_time", str(MAX_TIMESTAMP + 1), "TraceError"),
+    ("action_time", str(MAX_TIMESTAMP + 1), "ScenarioError"),
 ])
 def test_run_non_finite_or_huge_amount(tmp_path, capsys, where, literal, code):
     scenario = build(
@@ -260,6 +272,8 @@ def test_run_non_finite_or_huge_amount(tmp_path, capsys, where, literal, code):
         "config": ("market.json", '"max_open_interest": "1000000000"',
                    '"max_open_interest": {}'),
         "trace": ("trace.csv", "60,primary,2000", "60,primary,{}"),
+        "trace_time": ("trace.csv", "60,secondary,2000", "{},secondary,2000"),
+        "action_time": ("scenario.json", '"time": 60', '"time": {}'),
     }[where]
     text = (tmp_path / file).read_text()
     assert text.count(old) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -47,7 +48,7 @@ from perpamm.errors import (
     UnknownPosition,
     ZeroShareMint,
 )
-from perpamm.money import SECONDS_PER_YEAR, to_units
+from perpamm.money import MAX_TIMESTAMP, SECONDS_PER_YEAR, to_units
 from perpamm.oracle import PricePoint
 
 U = to_units  # shorthand: whole units -> base units
@@ -140,6 +141,15 @@ def test_split_accrual_equals_single_step():
         two.cum_fee_index_long, rel=1e-9)
     assert one.cum_fee_index_short == pytest.approx(
         two.cum_fee_index_short, rel=1e-9)
+
+
+def test_accrual_to_the_latest_timestamp_is_finite():
+    # a rate just under quantize9's 1e41 bound, over the longest dt an input allows
+    cfg = make_config(base_fee=BaseFeeParams(0.0, 9e40))
+    after = accrue_fees(pool(long_oi=U(1000)), U(10000), cfg, MAX_TIMESTAMP)
+    assert math.isfinite(after.cum_fee_index_long) and after.cum_fee_index_long > 0
+    pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0.0)
+    assert position_equity(pos, after, U(2000)) < 0
 
 
 # -- Order creation -----------------------------------------------------------------

@@ -321,6 +321,96 @@ def test_identical_runs_are_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+GOLDEN_RECEIPTS = """\
+seq,time,actor,action,status,order_id,position_id,executed_price,open_close_fee,borrow_fee_paid,realized_pnl,liquidation_fee,shares_delta,cash_delta
+1,0,lp,deposit,ok,,,,,,,,10000.000000,-10000.000000
+2,0,trader,create_order,ok,1,,,,,,,,-100.000000
+3,0,trader,settle_order,ok,1,,2000.000000,1.000000,0.000000,0.000000,0.000000,,0.000000
+4,0,trader,settle_order,UnknownOrder,,,,,,,,,
+5,0,trader,create_order,ok,2,,,,,,,,
+6,0,bob,create_order,ok,3,,,,,,,,-50.000000
+7,0,bob,cancel_order,ok,3,,,,,,,,50.000000
+8,0,trader,liquidate_check,NotLiquidatable,,1,,,,,,,
+9,0,lp,deposit,ScenarioError,,,,,,,,,
+10,60,trader,trigger_settle,ok,2,1,1880.000000,1.000000,0.000190,-60.000000,0.000000,,37.999810
+11,60,trader,create_order,ok,4,,,,,,,,
+12,60,bob,create_order,ok,5,,,,,,,,-100.000000
+13,60,bob,settle_order,ok,5,,1880.000000,1.000000,0.000000,0.000000,0.000000,,0.000000
+14,120,trader,trigger_settle,UnknownPosition,4,1,,,,,,,
+15,120,bob,liquidate_check,ok,,2,2050.000000,0.000000,0.000190,-90.425532,0.428714,,8.145564
+16,120,lp,redeem,ok,,,,,,,,-1000.000000,1015.351171
+17,120,trader,create_order,ok,6,,,,,,,,-900.000000
+18,120,trader,settle_order,ok,6,,2050.000000,8.000000,0.000000,0.000000,0.000000,,0.000000
+19,180,trader,trigger_settle,UnknownPosition,4,1,,,,,,,
+20,180,trader,create_order,ok,7,,,,,,,,
+21,180,trader,settle_order,InsolventVault,,,,,,,,,
+"""
+
+GOLDEN_SNAPSHOTS = """\
+time,pool_value,reserved,long_oi,short_oi,utilization,skew,borrow_rate_long,borrow_rate_short,cum_fee_index_long,cum_fee_index_short,vault_shares,share_price,open_positions,open_collateral,treasury
+0,10000.900000,1000.000000,1000.000000,0.000000,9.999100081,9.999100081,10.000000000,10.000000000,0.000000000,0.000000000,10000.000000,1.000090000,1,99.000000,0.100000
+60,10062.700171,1000.000000,0.000000,1000.000000,9.937690511,9.937690511,10.000000000,10.000000000,0.000000190,0.000000190,10000.000000,1.006270017,1,99.000000,0.300019
+120,9145.360546,8000.000000,8000.000000,0.000000,87.476048208,87.476048208,10.000000000,10.000000000,0.000000381,0.000000381,9000.000000,1.016151172,1,892.000000,1.142909
+180,9145.360546,8000.000000,8000.000000,0.000000,87.476048208,87.476048208,10.000000000,10.000000000,0.000000571,0.000000571,9000.000000,1.016151172,1,892.000000,1.142909
+"""
+
+
+def test_golden_receipts_and_snapshots(tmp_path):
+    """Every receipt row path, pinned byte for byte: ok and error rows of each
+    action, a trigger fill and a trigger error (with ids), a silent and a
+    liquidating sweep, an explicit liquidation error (actor: the owner), a
+    bad-param ScenarioError and the InsolventVault halt (actor: the sender)."""
+    config = dict(FRICTIONLESS, base_fee={"k_b": 0, "c_b": 10},
+                  open_close_fee_rate="0.1", liquidation_fee_rate=5)
+    path = build(
+        tmp_path, config=config, accounts=("lp", "trader", "bob"),
+        extra={"treasury_fee_share": 10},
+        trace_rows=(both_feeds(0, 2000) + both_feeds(60, 1880) + both_feeds(120, 2050)
+                    + both_feeds(180, 5000)),
+        actions=[
+            act(0, "lp", "deposit", assets=10000),
+            act(0, "trader", "create_order", **OPEN_LONG),                    # escrow
+            act(0, "trader", "settle_order", order_id=1),
+            act(0, "trader", "settle_order", order_id=1),                     # UnknownOrder
+            act(0, "trader", "create_order", kind="stop_loss", direction="long",
+                trigger_price=1900, max_slippage=5, position_id=1),          # no escrow
+            act(0, "bob", "create_order", kind="limit_open", direction="long",
+                size=100, collateral=50, trigger_price=1500),
+            act(0, "bob", "cancel_order", order_id=3),                        # refund
+            act(0, "lp", "liquidate_check"),                                  # finds nothing
+            act(0, "lp", "liquidate_check", position_id=1),                   # NotLiquidatable
+            act(0, "lp", "deposit", assets="abc"),                            # ScenarioError
+            # t=60: the stop-loss fills; this take-profit's position is gone,
+            # so from t=120 on each trigger pass writes an UnknownPosition row
+            act(60, "trader", "create_order", kind="take_profit", direction="long",
+                trigger_price=1850, max_slippage=5, position_id=1),
+            act(60, "bob", "create_order", kind="market_open", direction="short",
+                size=1000, collateral=100, acceptable_price=1880, max_slippage=1),
+            act(60, "bob", "settle_order", order_id=5),
+            act(120, "lp", "liquidate_check"),                                # liquidates bob
+            act(120, "lp", "redeem", shares=1000),
+            act(120, "trader", "create_order", kind="market_open", direction="long",
+                size=8000, collateral=900, acceptable_price=2050, max_slippage=1),
+            act(120, "trader", "settle_order", order_id=6),
+            act(180, "trader", "create_order", kind="market_close", direction="long",
+                acceptable_price=5000, max_slippage=1, position_id=3),
+            act(180, "trader", "settle_order", order_id=7),                   # InsolventVault
+            act(180, "lp", "deposit", assets=1),                              # never runs
+            act(240, "lp", "deposit", assets=1),
+        ])
+    inputs = {"config": str(tmp_path / "market.json"),
+              "trace": str(tmp_path / "trace.csv"), "scenario": path}
+    result = run_files(path)
+    write_outputs(result, str(tmp_path / "out"), inputs)
+    assert result.halted
+    assert (tmp_path / "out" / "receipts.csv").read_text() == GOLDEN_RECEIPTS
+    assert (tmp_path / "out" / "snapshots.csv").read_text() == GOLDEN_SNAPSHOTS
+    deltas = {name: 0 for name in ("lp", "trader", "bob")}
+    for row in result.receipts:
+        deltas[row.actor] += row.cash_delta or 0
+    assert result.cash == deltas
+
+
 # -- Loader validation ------------------------------------------------------------------
 
 def test_loader_rejects_unknown_keys(tmp_path):
