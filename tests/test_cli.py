@@ -67,12 +67,6 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("dynamic_fee", ["--k", "inf", "--m-max", "500"], "DomainError"),
     ("dynamic_fee", ["--k", "0.01", "--m-max", "inf"], "DomainError"),
     ("deviation_pct", ["--kd", "0.0004", "--cd", "inf"], "DomainError"),
-    # a signalling NaN is a NaN, not a float() traceback
-    ("deviation_pct", ["--kd", "sNaN"], "DomainError"),
-    ("base_fee", ["--kb", "0.01", "--cb", "sNaN"], "DomainError"),
-    ("dynamic_fee", ["--k", "0.01", "--m-max", "sNaN"], "DomainError"),
-    ("deviation_price", ["--price", "2000", "--kd", "sNaN"], "DomainError"),
-    ("base_fee", ["--params", '{"k_b": "sNaN"}'], "DomainError"),
     ("deviation_price", ["--price", "nan", "--kd", "0.0004"], "InvalidGrid"),
     ("deviation_price", ["--price", "inf", "--kd", "0.0004"], "InvalidGrid"),
     ("deviation_price", ["--price", "1e400", "--kd", "0.0004"], "DomainError"),
@@ -94,6 +88,12 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("base_fee", ["--kb", "0.01", "--cd", "0.5"], "InvalidGrid"),   # --cb meant
     ("base_fee", ["--params", '{"k_b": 0.01, "m_max": 3}'], "InvalidGrid"),
     ("deviation_pct", ["--kd", "0.01", "--price", "5"], "InvalidGrid"),
+    # a signalling NaN is a NaN, not a float() traceback
+    ("deviation_pct", ["--kd", "sNaN"], "DomainError"),
+    ("base_fee", ["--kb", "0.01", "--cb", "sNaN"], "DomainError"),
+    ("dynamic_fee", ["--k", "0.01", "--m-max", "sNaN"], "DomainError"),
+    ("deviation_price", ["--price", "2000", "--kd", "sNaN"], "DomainError"),
+    ("base_fee", ["--params", '{"k_b": "sNaN"}'], "DomainError"),
 ])
 def test_curves_non_finite_or_overflowing_input_is_one_error_line(
         tmp_path, capsys, kind, flags, code):
