@@ -3,9 +3,10 @@
 One engine serves one market backed by one LP vault: the pool value *is*
 the vault's total assets, and `reserved` is the gross notional of open
 positions, so utilization = reserved / vault assets. The engine holds the
-rest of the pool once, as the frozen `Engine.pool`: open interest per side,
-the two fee indices and the last accrual time; `reserved` is derived from
-the open interest, never stored.
+rest of the pool once, as the immutable `Engine.pool` (a NamedTuple, as are
+positions, orders and settlement receipts): open interest per side, the two
+fee indices and the last accrual time; `reserved` is derived from the open
+interest, never stored.
 
 All monetary state is integer base units (1e-6). Borrow fees accrue lazily
 through per-side cumulative indices: every state-mutating entry point first
@@ -29,6 +30,7 @@ import enum
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .curves import (
     BaseFeeParams,
@@ -112,8 +114,7 @@ class MarketConfig:
         return out
 
 
-@dataclass(frozen=True)
-class PoolState:
+class PoolState(NamedTuple):
     """The pool apart from its value, which the vault owns (`total_assets`)."""
 
     long_oi: int
@@ -128,8 +129,7 @@ class PoolState:
         return self.long_oi + self.short_oi
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     position_id: int
     owner: str
     direction: Direction
@@ -139,8 +139,7 @@ class Position:
     entry_fee_index: float
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(NamedTuple):
     """A pending order; an open order's collateral is its `Engine.escrow` entry."""
 
     order_id: int
@@ -154,8 +153,7 @@ class Order:
     position_id: int | None
 
 
-@dataclass(frozen=True)
-class SettlementReceipt:
+class SettlementReceipt(NamedTuple):
     executed_price: int
     open_close_fee: int
     borrow_fee_paid: int
@@ -311,9 +309,6 @@ class Engine:
         self._next_position_id = 1
 
     # -- state views ------------------------------------------------------------
-
-    def escrow_total(self) -> int:
-        return sum(self.escrow.values())
 
     def open_collateral_total(self) -> int:
         return sum(p.collateral for p in self.positions.values())

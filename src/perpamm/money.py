@@ -8,7 +8,9 @@ oracle deviation bands) is exact integer cross-multiplication.
 Curve evaluation happens in binary64; any curve output that enters engine
 state or a report is first quantized to nine fractional decimal digits with
 round-half-even by the float's own correctly rounded ``.9f`` format (see
-:func:`quantize9`). ``Decimal`` only parses input amounts (:func:`to_units`).
+:func:`quantize9`). ``Decimal`` only parses input amounts that are not plain
+decimal strings (:func:`to_units`): Decimals, floats and the other spellings
+``Decimal`` accepts, such as ``"1e3"``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ def pct_of(amount: int, pct_units: int) -> int:
 MAX_UNITS = 10**30
 _MAX_WHOLE = MAX_UNITS // UNIT_SCALE
 _MAX_WHOLE_DEC = Decimal(_MAX_WHOLE)
+_MAX_WHOLE_DIGITS = len(str(_MAX_WHOLE))
 
 
 def _shown(value) -> str:
@@ -65,18 +68,58 @@ def _shown(value) -> str:
     return repr(value)
 
 
+def _beyond(value) -> ConfigError:
+    return ConfigError(f"amount beyond {MAX_UNITS} base units: {_shown(value)}")
+
+
+def _too_fine(value) -> ConfigError:
+    return ConfigError(f"more than 6 fractional digits: {_shown(value)}")
+
+
+def _plain_units(value: str) -> int | None:
+    """Base units of a plain decimal string, ``-?[0-9]+(\\.[0-9]*)?``; None for other strings.
+
+    int() parses it exactly, under to_units's bound and digit rule and messages.
+    """
+    whole, _, frac = value.partition(".")
+    digits = whole.removeprefix("-")
+    # isascii() confines isdigit() to 0-9; int() alone would take "+5", " 5", "1_000"
+    if not (value.isascii() and digits.isdigit() and (frac.isdigit() or not frac)):
+        return None
+    digits = digits.lstrip("0")
+    frac = frac.rstrip("0")
+    # checked before int(), which refuses strings past sys.get_int_max_str_digits()
+    if len(digits) > _MAX_WHOLE_DIGITS:
+        raise _beyond(value)
+    if len(frac) > 6:
+        # the fraction is nonzero, so the amount exceeds the bound iff its whole part reaches it
+        if int(digits or "0") >= _MAX_WHOLE:
+            raise _beyond(value)
+        raise _too_fine(value)
+    units = int(digits + frac.ljust(6, "0"))
+    if units > MAX_UNITS:
+        raise _beyond(value)
+    return -units if whole[:1] == "-" else units
+
+
 def to_units(value) -> int:
     """Convert a decimal-like value to integer base units.
 
     Strings and Decimals convert exactly and must not carry more than six
     fractional digits; floats are rounded half-even at the 1e-6 tick.
     Non-finite values and amounts beyond +/-MAX_UNITS are a ConfigError.
+    Plain decimal strings are parsed with int() and every other string with
+    Decimal; either way the result or error is the one Decimal alone gives.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
+    if isinstance(value, str):
+        units = _plain_units(value)
+        if units is not None:
+            return units
+    elif isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
         raise ConfigError(f"not a numeric amount: {_shown(value)}")
-    if isinstance(value, int):
+    elif isinstance(value, int):
         if abs(value) > _MAX_WHOLE:
-            raise ConfigError(f"amount beyond {MAX_UNITS} base units: {_shown(value)}")
+            raise _beyond(value)
         return value * UNIT_SCALE
     try:
         amount = Decimal(value)
@@ -86,12 +129,12 @@ def to_units(value) -> int:
         raise ConfigError(f"not a finite amount: {_shown(value)}")
     # copy_abs and the comparison use no context, so no exponent can overflow
     if amount.copy_abs() > _MAX_WHOLE_DEC:
-        raise ConfigError(f"amount beyond {MAX_UNITS} base units: {_shown(value)}")
+        raise _beyond(value)
     scaled = _EXACT.multiply(amount, UNIT_SCALE)
     if isinstance(value, float):
         return int(scaled.to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
     if scaled != scaled.to_integral_value():
-        raise ConfigError(f"more than 6 fractional digits: {_shown(value)}")
+        raise _too_fine(value)
     return int(scaled)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DeviationTooHigh, DomainError, FeedError, StaleFeed, TraceError
 from .money import MAX_TIMESTAMP, UNIT_SCALE, to_units
@@ -33,17 +34,23 @@ class TradeSide(enum.Enum):
     SELL = "sell"
 
 
-@dataclass(frozen=True)
-class PricePoint:
+class _PricePointFields(NamedTuple):
     feed_id: str
     price: int          # base units, > 0
     publish_time: int   # seconds since epoch
 
-    def __post_init__(self) -> None:
-        if self.price <= 0:
-            raise FeedError(f"non-positive price for feed {self.feed_id!r}")
-        if self.publish_time < 0:
-            raise FeedError(f"negative publish time for feed {self.feed_id!r}")
+
+class PricePoint(_PricePointFields):
+    """One published price, checked in __new__, which a NamedTuple body may not define."""
+
+    __slots__ = ()
+
+    def __new__(cls, feed_id: str, price: int, publish_time: int) -> PricePoint:
+        if price <= 0:
+            raise FeedError(f"non-positive price for feed {feed_id!r}")
+        if publish_time < 0:
+            raise FeedError(f"negative publish time for feed {feed_id!r}")
+        return tuple.__new__(cls, (feed_id, price, publish_time))
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ def load_trace(path: str) -> list[PricePoint]:
                 except Exception:
                     raise TraceError(f"line {lineno}: bad price {row[2]!r}") from None
                 try:
-                    points.append(PricePoint(feed_id=row[1], price=price, publish_time=ts))
+                    points.append(PricePoint(row[1], price, ts))
                 except FeedError as exc:
                     raise TraceError(f"line {lineno}: {exc}") from None
         except UnicodeDecodeError as exc:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import load_market_config, read_json
 from .engine import Direction, Engine, OrderKind, pool_metrics
@@ -54,8 +55,7 @@ _SCENARIO_KEYS = {"market_config", "price_trace", "actions", "snapshot_interval"
 _ACTION_KEYS = {"time", "actor", "action", "params"}
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     seq: int
     time: int
     actor: str
@@ -75,8 +75,7 @@ class Scenario:
     treasury_fee_share: int = 0
 
 
-@dataclass
-class ReceiptRow:
+class ReceiptRow(NamedTuple):
     seq: int
     time: int
     actor: str
@@ -106,8 +105,7 @@ class ReceiptRow:
         ]
 
 
-@dataclass
-class SnapshotRow:
+class SnapshotRow(NamedTuple):
     time: int
     pool_value: int
     reserved: int
@@ -138,8 +136,8 @@ class SnapshotRow:
         ]
 
 
-SNAPSHOT_HEADER = [f.name for f in fields(SnapshotRow)]
-RECEIPT_HEADER = [f.name for f in fields(ReceiptRow)]
+SNAPSHOT_HEADER = list(SnapshotRow._fields)
+RECEIPT_HEADER = list(ReceiptRow._fields)
 
 
 @dataclass
@@ -153,59 +151,62 @@ class RunResult:
 
 # -- Scenario loading -----------------------------------------------------------
 
-def _require(cond: bool, template: str, *args) -> None:
-    """Raise a ScenarioError unless `cond`; the message is formatted only then."""
-    if not cond:
-        raise ScenarioError(template.format(*args))
-
-
-def _check_keys(obj: dict, known: set[str], template: str, *args) -> None:
-    """Raise a ScenarioError naming the keys of `obj` outside `known`, if any."""
-    if not obj.keys() <= known:
-        raise ScenarioError(template.format(*args, ", ".join(sorted(set(obj) - known))))
+def _unknown_keys(obj: dict, known: set[str]) -> str:
+    return ", ".join(sorted(set(obj) - known))
 
 
 def parse_scenario(raw: dict) -> Scenario:
-    _require(isinstance(raw, dict), "scenario must be a JSON object")
-    _check_keys(raw, _SCENARIO_KEYS, "unknown scenario keys: {}")
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    if not raw.keys() <= _SCENARIO_KEYS:
+        raise ScenarioError(f"unknown scenario keys: {_unknown_keys(raw, _SCENARIO_KEYS)}")
     for key in ("market_config", "price_trace", "actions", "snapshot_interval", "accounts"):
-        _require(key in raw, "missing scenario key: {}", key)
-    _require(isinstance(raw["snapshot_interval"], int) and not isinstance(raw["snapshot_interval"], bool)
-             and raw["snapshot_interval"] >= 0,
-             "snapshot_interval must be a non-negative integer (seconds)")
+        if key not in raw:
+            raise ScenarioError(f"missing scenario key: {key}")
+    interval = raw["snapshot_interval"]
+    if not (isinstance(interval, int) and not isinstance(interval, bool) and interval >= 0):
+        raise ScenarioError("snapshot_interval must be a non-negative integer (seconds)")
     accounts = raw["accounts"]
-    _require(isinstance(accounts, list) and all(isinstance(a, str) for a in accounts),
-             "accounts must be a list of account names")
+    if not (isinstance(accounts, list) and all(isinstance(a, str) for a in accounts)):
+        raise ScenarioError("accounts must be a list of account names")
     account_set = set(accounts)
+    if not isinstance(raw["actions"], list):
+        raise ScenarioError("actions must be a list")
 
     actions: list[Action] = []
-    last_time = None
-    _require(isinstance(raw["actions"], list), "actions must be a list")
+    last_time = 0     # times are checked to be >= 0 first
     for seq, entry in enumerate(raw["actions"]):
-        _require(isinstance(entry, dict), "action #{} must be an object", seq)
-        _check_keys(entry, _ACTION_KEYS, "action #{}: unknown keys {}", seq)
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"action #{seq} must be an object")
+        if not entry.keys() <= _ACTION_KEYS:
+            raise ScenarioError(
+                f"action #{seq}: unknown keys {_unknown_keys(entry, _ACTION_KEYS)}")
         for key in ("time", "actor", "action"):
-            _require(key in entry, "action #{}: missing {}", seq, key)
+            if key not in entry:
+                raise ScenarioError(f"action #{seq}: missing {key}")
         time = entry["time"]
-        _require(isinstance(time, int) and not isinstance(time, bool)
-                 and 0 <= time <= MAX_TIMESTAMP,
-                 "action #{}: time must be an integer in [0, {}]", seq, MAX_TIMESTAMP)
-        _require(last_time is None or time >= last_time,
-                 "action #{}: actions must be sorted by time", seq)
+        if not (isinstance(time, int) and not isinstance(time, bool)
+                and 0 <= time <= MAX_TIMESTAMP):
+            raise ScenarioError(
+                f"action #{seq}: time must be an integer in [0, {MAX_TIMESTAMP}]")
+        if time < last_time:
+            raise ScenarioError(f"action #{seq}: actions must be sorted by time")
         last_time = time
         actor = entry["actor"]
-        _require(isinstance(actor, str) and actor in account_set,
-                 "action #{}: undefined account {!r}", seq, actor)
+        if not (isinstance(actor, str) and actor in account_set):
+            raise ScenarioError(f"action #{seq}: undefined account {actor!r}")
         kind = entry["action"]
-        _require(isinstance(kind, str) and kind in ACTION_KINDS,
-                 "action #{}: unknown action {!r}", seq, kind)
+        if not (isinstance(kind, str) and kind in ACTION_KINDS):
+            raise ScenarioError(f"action #{seq}: unknown action {kind!r}")
         params = entry.get("params", {})
-        _require(isinstance(params, dict), "action #{}: params must be an object", seq)
-        actions.append(Action(seq=seq, time=time, actor=actor, kind=kind, params=params))
+        if not isinstance(params, dict):
+            raise ScenarioError(f"action #{seq}: params must be an object")
+        actions.append(Action(seq, time, actor, kind, params))
 
     def _feed(key: str, default: str) -> str:
         value = raw.get(key, default)
-        _require(isinstance(value, str) and bool(value), "{} must be a non-empty string", key)
+        if not (isinstance(value, str) and value):
+            raise ScenarioError(f"{key} must be a non-empty string")
         return value
 
     share = raw.get("treasury_fee_share", 0)
@@ -218,7 +219,7 @@ def parse_scenario(raw: dict) -> Scenario:
         market_config=str(raw["market_config"]),
         price_trace=str(raw["price_trace"]),
         actions=actions,
-        snapshot_interval=raw["snapshot_interval"],
+        snapshot_interval=interval,
         accounts=list(accounts),
         primary_feed=_feed("primary_feed", "primary"),
         secondary_feed=_feed("secondary_feed", "secondary"),

@@ -264,7 +264,7 @@ def test_criterion_06_conservation_scenario(tmp_path):
         settlements = sum(1 for r in result.receipts if r.status == "ok"
                           and r.action in ("settle_order", "trigger_settle",
                                            "liquidate_check"))
-        drift = (sum(result.cash.values()) + engine.escrow_total()
+        drift = (sum(result.cash.values()) + sum(engine.escrow.values())
                  + engine.open_collateral_total() + engine.vault.total_assets
                  + engine.treasury)
         assert abs(drift) <= settlements     # <= 1 base unit per settlement

@@ -63,8 +63,9 @@ def test_checker_finds_module_imports():
     assert not imports_module("import decimals\nfrom .decimal import x\n", "decimal")
 
 
-# Decimal parses input (money.to_units, the loaders, the CLI, figure grids and
-# prices); the engine, the curves, the oracle and the vault compute in ints and floats.
+# Decimal parses input (money.to_units for Decimals, floats and strings that are
+# not plain decimals, JSON fractions, the CLI, figure grids and prices); the engine,
+# the curves, the oracle and the vault compute in ints and floats.
 @pytest.mark.parametrize("name", ["engine.py", "curves.py", "oracle.py", "vault.py"])
 def test_computing_modules_do_not_import_decimal(name):
     assert not imports_module((PACKAGE / name).read_text(), "decimal")

@@ -7,11 +7,11 @@ import struct
 from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perpamm.errors import ConfigError, DomainError
-from perpamm.money import format9, format_units, quantize9, to_units
+from perpamm.money import MAX_UNITS, format9, format_units, quantize9, to_units
 
 _REFERENCE = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
@@ -132,3 +132,71 @@ def test_format_units_matches_decimal(units):
 def test_to_units_rejects_with_a_message_for_any_input(value, match):
     with pytest.raises(ConfigError, match=match):
         to_units(value)
+
+
+_EXACT = Context(prec=100_000)
+
+
+def reference_units(text: str) -> int | str:
+    """Base units of a string amount by Decimal alone, or the ConfigError message."""
+    try:
+        amount = Decimal(text)
+    except InvalidOperation:
+        return f"not a decimal amount: {text!r}"
+    if not amount.is_finite():
+        return f"not a finite amount: {text!r}"
+    if amount.copy_abs() > 10**24:
+        return f"amount beyond {MAX_UNITS} base units: {text!r}"
+    scaled = amount.scaleb(6, context=_EXACT)
+    if scaled != scaled.to_integral_value():
+        return f"more than 6 fractional digits: {text!r}"
+    return int(scaled)
+
+
+def units_or_message(text: str) -> int | str:
+    try:
+        return to_units(text)
+    except ConfigError as exc:
+        return str(exc)
+
+
+_digits = st.text("0123456789", min_size=1, max_size=30)
+plain_amounts = st.one_of(
+    st.builds(lambda sign, whole, frac: sign + whole + frac,
+              st.sampled_from(["", "-"]), _digits,
+              st.one_of(st.just(""), st.builds(lambda f: "." + f,
+                                               st.text("0123456789", max_size=12)))),
+    # whole parts at and around 10**24, with and without a fraction
+    st.builds(lambda sign, whole, frac: f"{sign}{whole}{frac}",
+              st.sampled_from(["", "-"]), st.integers(10**24 - 2, 10**24 + 2),
+              st.sampled_from(["", ".", ".0", ".000000000", ".000001", ".0000001", ".5"])),
+)
+spelled_amounts = st.one_of(
+    st.sampled_from(["1e3", "+5", " 5 ", "1_000", "\u0663", ".5", "-.5", "1e25", "Infinity",
+                     "-inf", "NaN", "sNaN", "5\n", "1E-7", "0x10", "", "-", ".", "1.2.3",
+                     "\uff11", "--5", "5.-1", "1e-1000000", "\u00b2", "1.\u00b2"]),
+    # "\u00b2" (superscript two) is a str.isdigit() digit that int() and Decimal refuse
+    st.text("0123456789.-+eE_ \u00b2\u0663", max_size=12),
+)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(plain_amounts, spelled_amounts))
+@example("007.25")
+@example("-0")
+@example("-0.0000000")
+@example("1.")
+@example("1.5000000")
+@example("1.0000005")
+@example(str(10**24))
+@example(str(10**24) + ".000000000")
+@example(str(10**24) + ".0000001")
+@example(str(10**24 + 1))
+@example("9" * 26)
+@example("1" * 26 + ".5")
+@example("-" + "1" * 5000)
+@example("0" * 5000 + "1.5")
+@example("1." + "0" * 5000)
+@example("1." + "0" * 5000 + "1")
+def test_to_units_on_strings_matches_decimal_reference(text):
+    assert units_or_message(text) == reference_units(text)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from perpamm.errors import DeviationTooHigh, DomainError, FeedError, StaleFeed, TraceError
-from perpamm.money import to_units
+from perpamm.money import MAX_TIMESTAMP, to_units
 from perpamm.oracle import (
     FeedStore,
     OracleConfig,
@@ -184,3 +184,24 @@ def test_load_trace_rejects_bad_price(tmp_path):
     path.write_text("timestamp,feed_id,price\n10,primary,-3\n")
     with pytest.raises(TraceError):
         load_trace(str(path))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("10,primary", "line 2: expected 3 columns, got 2"),
+    ("10,primary,2000\n11,primary,2000,x", "line 3: expected 3 columns, got 4"),
+    ("1.5,primary,2000", "line 2: bad timestamp '1.5'"),
+    ("ten,primary,2000", "line 2: bad timestamp 'ten'"),
+    (f"{MAX_TIMESTAMP + 1},primary,2000", f"line 2: timestamp beyond {MAX_TIMESTAMP}"),
+    ("20,primary,2000\n10,primary,2001", "line 3: timestamps decrease (20 -> 10)"),
+    ("10,primary,abc", "line 2: bad price 'abc'"),
+    ("10,primary,1.0000001", "line 2: bad price '1.0000001'"),
+    ("10,primary,0", "line 2: non-positive price for feed 'primary'"),
+    ("10,secondary,-3", "line 2: non-positive price for feed 'secondary'"),
+    ("-5,primary,2000", "line 2: negative publish time for feed 'primary'"),
+])
+def test_load_trace_row_messages(tmp_path, rows, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"timestamp,feed_id,price\n{rows}\n")
+    with pytest.raises(TraceError) as info:
+        load_trace(str(path))
+    assert str(info.value) == message

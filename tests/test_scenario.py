@@ -13,9 +13,10 @@ from conftest import feed_both, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, pool_metrics
 from perpamm.errors import ScenarioError
-from perpamm.money import to_units
+from perpamm.money import MAX_TIMESTAMP, to_units
 from perpamm.scenario import (
-    ACTION_KINDS, ACTION_PARAMS, Scenario, _Runner, load_scenario, run_files, write_outputs)
+    ACTION_KINDS, ACTION_PARAMS, Scenario, _Runner, load_scenario, parse_scenario, run_files,
+    write_outputs)
 
 U = to_units
 
@@ -117,7 +118,7 @@ def test_cash_ledger_balances_to_zero(tmp_path):
     result = run_files(path)
     assert all(r.status == "ok" for r in result.receipts)
     engine = result.engine
-    total = (sum(result.cash.values()) + engine.escrow_total()
+    total = (sum(result.cash.values()) + sum(engine.escrow.values())
              + engine.open_collateral_total() + engine.vault.total_assets
              + engine.treasury)
     assert total == 0
@@ -454,3 +455,33 @@ def test_loader_rejects_unhashable_actor_or_kind(tmp_path, key):
     path = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[entry])
     with pytest.raises(ScenarioError, match=r"\['lp'\]"):
         load_scenario(path)
+
+
+DEPOSIT = {"time": 0, "actor": "lp", "action": "deposit", "params": {"assets": 1}}
+
+
+@pytest.mark.parametrize("actions, message", [
+    ([7], "action #0 must be an object"),
+    ([DEPOSIT, ["lp"]], "action #1 must be an object"),
+    ([dict(DEPOSIT, zeta=1, alpha=2)], "action #0: unknown keys alpha, zeta"),
+    ([{"actor": "lp", "action": "deposit"}], "action #0: missing time"),
+    ([{"time": 0, "action": "deposit"}], "action #0: missing actor"),
+    ([{"time": 0, "actor": "lp"}], "action #0: missing action"),
+    ([dict(DEPOSIT, time=True)], f"action #0: time must be an integer in [0, {MAX_TIMESTAMP}]"),
+    ([dict(DEPOSIT, time=-1)], f"action #0: time must be an integer in [0, {MAX_TIMESTAMP}]"),
+    ([dict(DEPOSIT, time=1.0)], f"action #0: time must be an integer in [0, {MAX_TIMESTAMP}]"),
+    ([dict(DEPOSIT, time=MAX_TIMESTAMP + 1)],
+     f"action #0: time must be an integer in [0, {MAX_TIMESTAMP}]"),
+    ([dict(DEPOSIT, time=60), DEPOSIT], "action #1: actions must be sorted by time"),
+    ([dict(DEPOSIT, actor="ghost")], "action #0: undefined account 'ghost'"),
+    ([dict(DEPOSIT, actor=["lp"])], "action #0: undefined account ['lp']"),
+    ([dict(DEPOSIT, action="teleport")], "action #0: unknown action 'teleport'"),
+    ([dict(DEPOSIT, action=None)], "action #0: unknown action None"),
+    ([dict(DEPOSIT, params=[])], "action #0: params must be an object"),
+])
+def test_parse_scenario_action_messages(actions, message):
+    raw = {"market_config": "m.json", "price_trace": "t.csv", "snapshot_interval": 0,
+           "accounts": ["lp"], "actions": actions}
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(raw)
+    assert str(info.value) == message
