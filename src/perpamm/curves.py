@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, QuoteError
-from .money import div_round_half_even, format9, quantize9
+from .money import div_round_half_even, format_nanos, nanos9, quantize9
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,14 @@ def compute_skew(long_oi, short_oi, pool_value) -> float:
 # -- Quoting -----------------------------------------------------------------
 
 def quote_nanos(price_nanos: int, u: float, p: DeviationParams) -> tuple[int, int]:
-    """(long, short) = price * (1 +/- delta/100) in 1e-9 units, exact, rounded once half-even."""
-    delta = eval_deviation(u, p)
-    if delta >= 100:
-        raise QuoteError(f"deviation {format9(delta)}% leaves no positive short quote")
-    d = round(delta * 10**9)   # delta in 1e-9 percent, exact below 100; 10**11 is 100%
+    """(long, short) = price * (1 +/- delta/100) in 1e-9 units, exact, rounded once half-even.
+
+    delta is the deviation curve at u, taken at 9 digits as `eval_deviation` does.
+    """
+    check_utilization(u)
+    d = nanos9(parabola(u, p.k_delta, p.c_d))   # delta in 1e-9 percent; 10**11 is 100%
+    if d >= 10**11:
+        raise QuoteError(f"deviation {format_nanos(d)}% leaves no positive short quote")
     return (div_round_half_even(price_nanos * (10**11 + d), 10**11),
             div_round_half_even(price_nanos * (10**11 - d), 10**11))
 

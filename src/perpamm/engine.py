@@ -16,6 +16,12 @@ Indices accumulate in raw binary64 (quantizing each increment would break
 split-vs-single-step accrual equivalence); the rates feeding them are
 9-digit-quantized curve outputs.
 
+Utilization, skew and both borrow rates read only (long OI, short OI, pool
+value), so the engine computes them once per change of that triple
+(`Engine.metrics`, a one-entry memo of `pool_metrics`). Most event times
+only move prices and leave it unchanged; accrual and snapshots there reuse
+the last result.
+
 Every mutating method is atomic by construction: it builds the next pool
 (fees accrued, open interest moved), the fees and the vault's net flow in
 locals, runs every check, and only then writes: it assigns `self.pool`
@@ -184,12 +190,13 @@ def pool_metrics(pool: PoolState, pool_value: int,
 
 
 def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
-                now: int) -> PoolState:
+                now: int, metrics=pool_metrics) -> PoolState:
     """Roll both cumulative fee indices forward to `now`.
 
     Rates are evaluated once at the pre-accrual state, so the result over
     [t0, t2] equals accruing [t0, t1] then [t1, t2] when nothing else
     changes in between. At dt == 0 the same pool object comes back.
+    `metrics` is `pool_metrics` or an engine's memo of it (`Engine.metrics`).
     """
     if now < pool.last_accrual_time:
         raise ClockRegression(
@@ -199,7 +206,7 @@ def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
         return pool
     if pool_value <= 0 and pool.reserved > 0:
         raise InsolventVault("open positions with an empty pool")
-    _, _, rate_long, rate_short = pool_metrics(pool, pool_value, cfg)
+    _, _, rate_long, rate_short = metrics(pool, pool_value, cfg)
     year_frac = dt / SECONDS_PER_YEAR
     return PoolState(pool.long_oi, pool.short_oi,
                      pool.cum_fee_index_long + (rate_long / 100.0) * year_frac,
@@ -307,17 +314,35 @@ class Engine:
         self._fires_above: list[tuple[int, int]] = []
         self._next_order_id = 1
         self._next_position_id = 1
+        # one-entry memo of pool_metrics: the key it was computed at, and its result
+        self._metrics_key: tuple | None = None
+        self._metrics: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
     # -- state views ------------------------------------------------------------
 
     def open_collateral_total(self) -> int:
         return sum(p.collateral for p in self.positions.values())
 
+    def metrics(self, pool: PoolState, pool_value: int,
+                cfg: MarketConfig) -> tuple[float, float, float, float]:
+        """`pool_metrics(pool, pool_value, cfg)`, computed once per change of its inputs.
+
+        The metrics read only (long_oi, short_oi, pool_value) and the config,
+        so the last key and result are kept. The key is compared on every
+        call, against the values passed in, so no write has to clear it.
+        """
+        key = (pool.long_oi, pool.short_oi, pool_value, cfg)
+        if key != self._metrics_key:
+            self._metrics = pool_metrics(pool, pool_value, cfg)
+            self._metrics_key = key
+        return self._metrics
+
     # -- accrual -------------------------------------------------------------------
 
     def _accrued(self, now: int) -> PoolState:
         """The pool with fees accrued to `now`; writes nothing."""
-        return accrue_fees(self.pool, self.vault.total_assets, self.config, now)
+        return accrue_fees(self.pool, self.vault.total_assets, self.config, now,
+                           self.metrics)
 
     def accrue(self, now: int) -> None:
         self.pool = self._accrued(now)

@@ -176,3 +176,8 @@ def quantize9(x: float) -> float:
 def format9(x: float) -> str:
     """Fixed-point string with exactly nine fractional digits, round-half-even."""
     return _fixed9(x)
+
+
+def nanos9(x: float) -> int:
+    """The 9-digit value of x as an integer count of 1e-9: its `.9f` digits, exact."""
+    return int(_fixed9(x).replace(".", "", 1))

@@ -23,10 +23,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import load_market_config, read_json
-from .engine import Direction, Engine, OrderKind, pool_metrics
+from .engine import Direction, Engine, OrderKind
 from .errors import InsolventVault, NotLiquidatable, ProtocolError, ScenarioError
 from .money import MAX_TIMESTAMP, format9, format_units, to_units
 from .oracle import PricePoint, load_trace
+
+
+def _amount(value) -> int:
+    # reads the module's `to_units` at each call, so a patched one sees every parse
+    return to_units(value)
 
 
 def _id(value) -> int:
@@ -38,11 +43,11 @@ def _id(value) -> int:
 # action kind -> (a parser per param key, the keys it requires). A parser
 # returns the value the engine takes; each key is that call's keyword name.
 ACTION_PARAMS = {
-    "deposit": ({"assets": to_units}, ("assets",)),
-    "redeem": ({"shares": to_units}, ("shares",)),
-    "create_order": ({"kind": OrderKind, "direction": Direction, "size": to_units,
-                      "collateral": to_units, "acceptable_price": to_units,
-                      "max_slippage": to_units, "trigger_price": to_units,
+    "deposit": ({"assets": _amount}, ("assets",)),
+    "redeem": ({"shares": _amount}, ("shares",)),
+    "create_order": ({"kind": OrderKind, "direction": Direction, "size": _amount,
+                      "collateral": _amount, "acceptable_price": _amount,
+                      "max_slippage": _amount, "trigger_price": _amount,
                       "position_id": _id}, ("kind", "direction")),
     "settle_order": ({"order_id": _id}, ("order_id",)),
     "cancel_order": ({"order_id": _id}, ("order_id",)),
@@ -294,7 +299,7 @@ class _Runner:
     def _snapshot(self, time: int) -> None:
         engine = self.engine
         pool, pool_value = engine.pool, engine.vault.total_assets
-        utilization, skew, rate_long, rate_short = pool_metrics(
+        utilization, skew, rate_long, rate_short = engine.metrics(
             pool, pool_value, engine.config)
         self.snapshots.append(SnapshotRow(
             time=time, pool_value=pool_value, reserved=pool.reserved,

@@ -11,7 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, exp as mexp
 
@@ -28,7 +28,7 @@ from perpamm.curves import (
     total_borrow_rates,
 )
 from perpamm.errors import DomainError, QuoteError
-from perpamm.money import format9, format_nanos, to_units
+from perpamm.money import div_round_half_even, format9, format_nanos, to_units
 
 
 def sigmoid_oracle(sigma: float, m_max: float, steepness: float) -> float:
@@ -105,6 +105,38 @@ def test_quote_rejects_full_deviation():
         quote_prices_units(to_units(2000), 100, DeviationParams(0.01, 0.0))   # delta = 100
     with pytest.raises(QuoteError):
         quote_prices_units(to_units(2000), 0, DeviationParams(0.0, 100.0))
+
+
+def quote_nanos_reference(price_nanos: int, u: float, p: DeviationParams) -> tuple[int, int]:
+    """quote_nanos as first written: the deviation through quantize9, then back to an int."""
+    delta = eval_deviation(u, p)
+    if delta >= 100:
+        raise QuoteError(f"deviation {format9(delta)}% leaves no positive short quote")
+    d = round(delta * 10**9)
+    return (div_round_half_even(price_nanos * (10**11 + d), 10**11),
+            div_round_half_even(price_nanos * (10**11 - d), 10**11))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, QuoteError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000)
+@given(
+    price_nanos=st.integers(1, 10**40),
+    u=st.one_of(st.floats(min_value=0, max_value=100), st.floats()),
+    kd=st.one_of(st.floats(min_value=0, max_value=0.02), st.floats(min_value=0, max_value=1e40)),
+    cd=st.one_of(st.floats(min_value=0, max_value=5), st.floats(min_value=95, max_value=105)),
+)
+@example(price_nanos=2 * 10**12, u=100.0, kd=0.01, cd=0.0)    # delta is exactly 100
+@example(price_nanos=2 * 10**12, u=0.0, kd=0.0, cd=99.9999999995)
+def test_quote_nanos_equals_the_quantize9_formula(price_nanos, u, kd, cd):
+    p = DeviationParams(kd, cd)
+    assert _outcome(quote_nanos, price_nanos, u, p) == _outcome(
+        quote_nanos_reference, price_nanos, u, p)
 
 
 def test_quote_rejects_non_positive_price():

@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perpamm.errors import ConfigError, DomainError
-from perpamm.money import MAX_UNITS, format9, format_units, quantize9, to_units
+from perpamm.money import (
+    MAX_UNITS,
+    format9,
+    format_nanos,
+    format_units,
+    nanos9,
+    quantize9,
+    to_units,
+)
 
 _REFERENCE = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
@@ -79,9 +87,12 @@ def test_nine_digit_bound_is_ten_to_the_41(x):
     assert_matches_reference(x)
     if abs(x) < 10**41:
         assert len(format9(x).lstrip("-").replace(".", "")) == 50
+        assert format_nanos(nanos9(x)) == format9(x)
     else:
         with pytest.raises(DomainError, match="no 9-digit fixed-point value"):
             format9(x)
+        with pytest.raises(DomainError, match="no 9-digit fixed-point value"):
+            nanos9(x)
 
 
 def _ulps_from(x: float, n: int) -> float:
@@ -104,12 +115,25 @@ def test_printing_a_quantized_value_prints_the_value(x):
     assert format9(quantize9(x)) == format9(x)
 
 
+@settings(max_examples=2000)
+@given(printable_doubles)
+@example(-1e-12)
+def test_nanos_are_the_printed_digits(x):
+    """nanos9 is the 9-digit value as an int: format9's digits, quantize9's float."""
+    n = nanos9(x)
+    # an int has no negative zero: format9 keeps the sign of a tiny negative x
+    assert format_nanos(n) == format9(x).replace("-0.000000000", "0.000000000")
+    assert n / 10**9 == quantize9(x)   # int true division rounds correctly, as float() does
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_has_no_nine_digit_value(x):
     with pytest.raises(DomainError):
         format9(x)
     with pytest.raises(DomainError):
         quantize9(x)
+    with pytest.raises(DomainError):
+        nanos9(x)
 
 
 @settings(max_examples=500)

@@ -9,14 +9,15 @@ import pytest
 
 import perpamm.curves
 import perpamm.engine
+import perpamm.scenario
 from conftest import feed_both, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, pool_metrics
 from perpamm.errors import ScenarioError
 from perpamm.money import MAX_TIMESTAMP, to_units
 from perpamm.scenario import (
-    ACTION_KINDS, ACTION_PARAMS, Scenario, _Runner, load_scenario, parse_scenario, run_files,
-    write_outputs)
+    ACTION_KINDS, ACTION_PARAMS, Action, Scenario, _Runner, load_scenario, parse_scenario,
+    run_files, write_outputs)
 
 U = to_units
 
@@ -301,6 +302,47 @@ def test_snapshot_computes_each_pool_value_once(monkeypatch):
     assert (row.utilization, row.skew, row.borrow_rate_long,
             row.borrow_rate_short) == expected
     assert row.reserved == row.long_oi == U(3000)
+
+
+def test_rates_are_computed_once_while_the_pool_does_not_change(tmp_path, monkeypatch):
+    """K price-only event times accrue at the rates of one pool: one evaluation, not K."""
+    config = dict(FRICTIONLESS, base_fee={"k_b": 0.01, "c_b": 1},
+                  dynamic_fee={"m_max": 500, "steepness": 0.0125})
+    times = range(0, 60 * 51, 60)   # the open at 0, then K = 50 price-only times
+    path = build(
+        tmp_path, config=config, interval=600,
+        trace_rows=[row for t in times for row in both_feeds(t, 2000)],
+        actions=[
+            act(0, "lp", "deposit", assets=10_000),
+            act(0, "trader", "create_order", kind="market_open", direction="long",
+                size=3000, collateral=500, acceptable_price=2000, max_slippage=1),
+            act(0, "trader", "settle_order", order_id=1),
+        ])
+    rates = count_calls(monkeypatch, perpamm.curves.total_borrow_rates)
+    result = run_files(path)
+    assert [r.status for r in result.receipts] == ["ok"] * 3
+    assert rates[0] == 1
+    last = result.snapshots[-1]
+    assert last.time == times[-1] and last.borrow_rate_long > last.borrow_rate_short > 0
+    assert last.cum_fee_index_long > last.cum_fee_index_short > 0
+
+
+def test_amount_params_are_parsed_through_the_module_to_units(monkeypatch):
+    """ACTION_PARAMS reads scenario.to_units when it parses, so a patched one sees each amount."""
+    calls = [0]
+
+    def counting(value):
+        calls[0] += 1
+        return U(value)
+
+    monkeypatch.setattr(perpamm.scenario, "to_units", counting)
+    amounts = {"size": "3000", "collateral": 500, "acceptable_price": "2000.5",
+               "max_slippage": 1}
+    runner = _Runner(Scenario("market.json", "trace.csv", [], 0, ["t"]), make_engine(), [])
+    runner._dispatch(Action(0, 0, "t", "create_order",
+                            dict(kind="market_open", direction="long", **amounts)))
+    assert [r.status for r in runner.receipts] == ["ok"]
+    assert calls[0] == len(amounts)
 
 
 def test_identical_runs_are_byte_identical(tmp_path):
