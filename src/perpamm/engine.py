@@ -9,18 +9,17 @@ fee indices and the last accrual time; `reserved` is derived from the open
 interest, never stored.
 
 All monetary state is integer base units (1e-6). Borrow fees accrue lazily
-through per-side cumulative indices: every state-mutating entry point first
-rolls the indices forward at the rates prevailing since the last accrual,
-and a position owes size * (index_now - index_at_entry) when it closes.
-Indices accumulate in raw binary64 (quantizing each increment would break
-split-vs-single-step accrual equivalence); the rates feeding them are
-9-digit-quantized curve outputs.
+through per-side cumulative indices: each entry point that reads or changes
+the pool, and `accrue`, which a snapshot calls, first rolls the indices
+forward at the rates prevailing since the last accrual, so the engine is the
+only accrual driver. A position owes size * (index_now - index_at_entry)
+when it closes. Indices accumulate in raw binary64; the rates feeding them
+are 9-digit-quantized curve outputs.
 
 Utilization, skew and both borrow rates read only (long OI, short OI, pool
 value), so the engine computes them once per change of that triple
-(`Engine.metrics`, a one-entry memo of `pool_metrics`). Most event times
-only move prices and leave it unchanged; accrual and snapshots there reuse
-the last result.
+(`Engine.metrics`, a one-entry memo of `pool_metrics`); accrual and
+snapshots at an unchanged pool reuse the last result.
 
 Every mutating method is atomic by construction: it builds the next pool
 (fees accrued, open interest moved), the fees and the vault's net flow in
@@ -193,10 +192,12 @@ def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
                 now: int, metrics=pool_metrics) -> PoolState:
     """Roll both cumulative fee indices forward to `now`.
 
-    Rates are evaluated once at the pre-accrual state, so the result over
-    [t0, t2] equals accruing [t0, t1] then [t1, t2] when nothing else
-    changes in between. At dt == 0 the same pool object comes back.
-    `metrics` is `pool_metrics` or an engine's memo of it (`Engine.metrics`).
+    Rates are evaluated once at the pre-accrual state, so accruing [t0, t2]
+    equals accruing [t0, t1] then [t1, t2] when nothing else changes in
+    between, up to binary64 rounding. At dt == 0 the same pool object comes
+    back. `metrics` is `pool_metrics` or an engine's memo of it
+    (`Engine.metrics`). An empty pool accrues at zero rates; the engine keeps
+    reserved <= pool value, so it holds no open interest then.
     """
     if now < pool.last_accrual_time:
         raise ClockRegression(
@@ -204,8 +205,6 @@ def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
     dt = now - pool.last_accrual_time
     if dt == 0:
         return pool
-    if pool_value <= 0 and pool.reserved > 0:
-        raise InsolventVault("open positions with an empty pool")
     _, _, rate_long, rate_short = metrics(pool, pool_value, cfg)
     year_frac = dt / SECONDS_PER_YEAR
     return PoolState(pool.long_oi, pool.short_oi,
@@ -494,8 +493,7 @@ class Engine:
         if opening:
             receipt = self._execute_open(order, exec_price, pool)
         else:
-            receipt = self._execute_close(pos, exec_price, pool,
-                                          charge_close_fee=True)
+            receipt = self._execute_close(pos, exec_price, pool)
         self._remove_order(order)
         return receipt
 
@@ -537,20 +535,19 @@ class Engine:
                                  borrow_fee_paid=0, realized_pnl=0)
 
     def _execute_close(self, pos: Position, exec_price: int, pool: PoolState, *,
-                       charge_close_fee: bool, liquidation: bool = False) -> SettlementReceipt:
+                       liquidation: bool = False) -> SettlementReceipt:
         owed = _owed_borrow_fee(pos, pool)
         pnl = _pnl(pos, exec_price)
         gross = pos.collateral + pnl
         borrow_collected = min(max(owed, 0), max(gross, 0))
         remainder = max(gross - borrow_collected, 0)
-        close_fee = 0
-        if charge_close_fee:
-            close_fee = min(pct_of(pos.size, self.config.open_close_fee_rate), remainder)
-            remainder -= close_fee
-        liq_fee = 0
+        close_fee = liq_fee = 0
         if liquidation:
             liq_fee = pct_of(remainder, self.config.liquidation_fee_rate)
             remainder -= liq_fee
+        else:
+            close_fee = min(pct_of(pos.size, self.config.open_close_fee_rate), remainder)
+            remainder -= close_fee
         payout = remainder
 
         # collateral dissolves into: payout, the treasury's fee cut, and the
@@ -581,8 +578,7 @@ class Engine:
         mark = self._aggregate_mark(side, now)
         if not check_liquidation(pos, pool, self.config, mark):
             raise NotLiquidatable(f"position {position_id} is healthy at {mark}")
-        return self._execute_close(pos, mark, pool, charge_close_fee=False,
-                                   liquidation=True)
+        return self._execute_close(pos, mark, pool, liquidation=True)
 
     # -- triggers ------------------------------------------------------------------------
 

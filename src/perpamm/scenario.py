@@ -2,16 +2,16 @@
 
 A scenario is a JSON document binding one market config and one price trace
 to a time-ordered list of actor actions. Events at the same timestamp apply
-in a fixed order: price updates, fee accrual, trigger evaluation, then the
-explicit actions in declaration order, so replaying identical inputs yields
-byte-identical outputs.
+in a fixed order: price updates, trigger evaluation, explicit actions in
+declaration order, then a due snapshot; fees accrue inside the engine calls
+and the snapshot. Replaying identical inputs yields byte-identical outputs.
 
 A malformed scenario envelope (top-level keys, accounts, action time, actor
 and kind) stops the load with a ScenarioError. An action's params are
 checked against ACTION_PARAMS when the action runs: a missing, unknown or
 malformed param is a ScenarioError receipt and the run continues, as are
-engine errors. An InsolventVault error is fatal and halts the run with
-partial output flagged.
+engine errors. An InsolventVault error is fatal: the run halts after its
+row and that time's snapshot, with partial output flagged.
 """
 
 from __future__ import annotations
@@ -256,6 +256,11 @@ def _parse_params(action: Action) -> dict:
     return params
 
 
+class _Halt(Exception):
+    """Stops the run after an InsolventVault row; not a ProtocolError, so no
+    handler on the way records it again."""
+
+
 class _Runner:
     def __init__(self, scenario: Scenario, engine: Engine,
                  trace: list[PricePoint]) -> None:
@@ -265,12 +270,11 @@ class _Runner:
         self.cash: dict[str, int] = {name: 0 for name in scenario.accounts}
         self.receipts: list[ReceiptRow] = []
         self.snapshots: list[SnapshotRow] = []
-        self.halted = False
 
     # receipts ----------------------------------------------------------------
     # Each outcome is one row, appended by _emit, which also moves the actor's
     # cash by the row's cash_delta; _failed is the one place an error becomes
-    # a row.
+    # a row, and the one place a halt starts.
 
     def _emit(self, time: int, actor: str, action: str, status: str, **fields) -> None:
         row = ReceiptRow(len(self.receipts) + 1, time, actor, action, status, **fields)
@@ -282,7 +286,7 @@ class _Runner:
                 **ids) -> None:
         self._emit(time, actor, action, exc.code, **ids)
         if isinstance(exc, InsolventVault):
-            self.halted = True
+            raise _Halt
 
     def _emit_settlement(self, time: int, actor: str, action: str, receipt,
                          order_id: int | None, position_id: int | None) -> None:
@@ -298,6 +302,7 @@ class _Runner:
 
     def _snapshot(self, time: int) -> None:
         engine = self.engine
+        engine.accrue(time)
         pool, pool_value = engine.pool, engine.vault.total_assets
         utilization, skew, rate_long, rate_short = engine.metrics(
             pool, pool_value, engine.config)
@@ -328,30 +333,27 @@ class _Runner:
         timeline = sorted(set(by_time_points) | set(by_time_actions))
         interval = self.scenario.snapshot_interval
         next_due = timeline[0] if timeline else 0
+        halted = False
 
         for t in timeline:
             for point in by_time_points.get(t, ()):      # 1. price updates
                 self.engine.feeds.ingest(point)
             try:
-                self.engine.accrue(t)                    # 2. fee accrual
-            except InsolventVault as exc:
-                self._failed(t, "", "accrue", exc)
-            if not self.halted:
-                self._run_triggers(t)                    # 3. trigger evaluation
-            for action in by_time_actions.get(t, ()):    # 4. explicit actions
-                if self.halted:
-                    break
-                self._dispatch(action)
-            if interval == 0 or t >= next_due or self.halted or t == timeline[-1]:
-                self._snapshot(t)
+                self._run_triggers(t)                    # 2. trigger evaluation
+                for action in by_time_actions.get(t, ()):  # 3. explicit actions
+                    self._dispatch(action)
+            except _Halt:
+                self._snapshot(t)                        # 4. snapshot, then stop
+                halted = True
+                break
+            if interval == 0 or t >= next_due or t == timeline[-1]:
+                self._snapshot(t)                        # 4. snapshot, if due
                 if interval > 0:
                     start = timeline[0]
                     next_due = start + ((t - start) // interval + 1) * interval
-            if self.halted:
-                break
 
         return RunResult(snapshots=self.snapshots, receipts=self.receipts,
-                         engine=self.engine, cash=self.cash, halted=self.halted)
+                         engine=self.engine, cash=self.cash, halted=halted)
 
     def _run_triggers(self, t: int) -> None:
         engine = self.engine
@@ -365,8 +367,6 @@ class _Runner:
             except ProtocolError as exc:
                 self._failed(t, order.owner, "trigger_settle", exc,
                              order_id=order_id, position_id=order.position_id)
-                if self.halted:
-                    return
             else:
                 self._emit_settlement(t, order.owner, "trigger_settle", receipt,
                                       order_id, order.position_id)
@@ -425,8 +425,6 @@ class _Runner:
                 if not (sweep and isinstance(exc, NotLiquidatable)):
                     self._failed(action.time, owner, action.kind, exc,
                                  position_id=position_id)
-                    if self.halted:
-                        return
             else:
                 self._emit_settlement(action.time, owner, action.kind, receipt,
                                       None, position_id)

@@ -26,6 +26,8 @@ class VaultState:
             raise DomainError("deposit must be positive")
         if self.total_shares == 0:
             shares = assets
+        elif self.total_assets == 0:    # shares priced at 0: EIP-4626's division reverts
+            raise DomainError("vault holds no assets for its outstanding shares")
         else:
             shares = assets * self.total_shares // self.total_assets
         if shares == 0:

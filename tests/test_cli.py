@@ -221,6 +221,36 @@ def test_run_halted_scenario_exits_one_with_flag(tmp_path, capsys):
     assert (out_dir / "receipts.csv").exists()
 
 
+def test_run_deposit_into_a_drained_vault_is_a_receipt(tmp_path, capsys):
+    """A close whose payout takes the whole pool leaves shares against no
+    assets; a deposit then is a DomainError row, and the run goes on."""
+    scenario = build(
+        tmp_path,
+        trace_rows=both_feeds(0, 2000) + both_feeds(60, 4000),
+        actions=[
+            act(0, "lp", "deposit", assets=1000),
+            act(0, "trader", "create_order", kind="market_open", direction="long",
+                size=1000, collateral=1000, acceptable_price=2000, max_slippage=1),
+            act(0, "trader", "settle_order", order_id=1),
+            act(60, "trader", "create_order", kind="market_close", direction="long",
+                acceptable_price=4000, max_slippage=1, position_id=1),
+            act(60, "trader", "settle_order", order_id=2),
+            act(60, "lp", "deposit", assets=5),
+        ])
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(tmp_path / "market.json"),
+                 "--trace", str(tmp_path / "trace.csv"),
+                 "--scenario", scenario, "--out-dir", str(out_dir)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in
+            (out_dir / "receipts.csv").read_text().splitlines()[1:]]
+    assert [row[3:5] for row in rows].count(["deposit", "DomainError"]) == 1
+    assert rows[-1][3:5] == ["deposit", "DomainError"]
+    last = (out_dir / "snapshots.csv").read_text().splitlines()[-1].split(",")
+    assert (last[1], last[11]) == ("0.000000", "1000.000000")   # pool value, shares
+
+
 def test_run_missing_config_reports_error(tmp_path, capsys):
     scenario = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[])
     code = main(["run", "--config", str(tmp_path / "nope.json"),

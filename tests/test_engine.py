@@ -905,6 +905,25 @@ def test_every_error_site_leaves_state_untouched():
             assert fingerprint(engine) != before, build.__name__
 
 
+def test_deposit_into_a_drained_vault_is_a_domain_error():
+    """A close can pay out the whole pool (reserved is then 0) and leave
+    shares outstanding against no assets; a deposit then reverts, as
+    EIP-4626's division does, and writes nothing."""
+    engine = make_engine()
+    engine.vault.deposit("lp", U(1000))
+    pid = open_position(engine, size=U(1000), collateral=U(1000))
+    feed_both(engine, U(4000), LATER)
+    oid = engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
+                              acceptable_price=U(4000), max_slippage=U(1),
+                              position_id=pid)
+    assert engine.settle_order(oid, LATER).payout == U(2000)
+    assert (engine.vault.total_assets, engine.vault.total_shares) == (0, U(1000))
+    before = fingerprint(engine)
+    with pytest.raises(DomainError, match="no assets"):
+        engine.lp_deposit("x", U(5), 2 * LATER)
+    assert fingerprint(engine) == before
+
+
 def test_calls_do_not_copy_the_book():
     """Peak allocation of a call does not grow with open positions.
 

@@ -14,7 +14,7 @@ from conftest import feed_both, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, pool_metrics
 from perpamm.errors import ScenarioError
-from perpamm.money import MAX_TIMESTAMP, to_units
+from perpamm.money import MAX_TIMESTAMP, SECONDS_PER_YEAR, to_units
 from perpamm.scenario import (
     ACTION_KINDS, ACTION_PARAMS, Action, Scenario, _Runner, load_scenario, parse_scenario,
     run_files, write_outputs)
@@ -191,6 +191,80 @@ def test_insolvent_vault_halts_with_partial_output(tmp_path):
     assert not any(r.time == 120 for r in result.receipts)
 
 
+def run_to_halt(tmp_path, path, halt_time):
+    """Run and write outputs; the InsolventVault row at `halt_time` ends both files."""
+    result = run_files(path)
+    out = tmp_path / "out"
+    write_outputs(result, str(out), {"scenario": path})
+    assert result.receipts[-1].status == "InsolventVault"
+    assert result.receipts[-1].time == halt_time
+    assert [s.time for s in result.snapshots].count(halt_time) == 1
+    assert result.snapshots[-1].time == halt_time
+    assert json.loads((out / "manifest.json").read_text())["halted"] is True
+    return result
+
+
+def test_insolvent_trigger_close_halts_the_trigger_pass(tmp_path):
+    """A triggered close that breaks the vault is the last row: the next ready
+    order (a limit open that would fill) and the actions at its time write none."""
+    open_long = dict(kind="market_open", direction="long", size=100, collateral=100,
+                     acceptable_price=2000, max_slippage=1)
+    path = build(
+        tmp_path,
+        trace_rows=both_feeds(0, 2000) + both_feeds(60, 9000) + both_feeds(120, 9000),
+        actions=[
+            act(0, "lp", "deposit", assets=300),
+            act(0, "trader", "create_order", **open_long),
+            act(0, "trader", "settle_order", order_id=1),
+            act(0, "trader", "create_order", **open_long),
+            act(0, "trader", "settle_order", order_id=2),
+            # order 3: pnl +350 on position 1 exceeds what the pool can pay
+            act(0, "trader", "create_order", kind="take_profit", direction="long",
+                trigger_price=8000, max_slippage=5, position_id=1),
+            # order 4: ready at 9000 too, and would fill
+            act(0, "trader", "create_order", kind="limit_open", direction="short",
+                size=10, collateral=10, trigger_price=8000),
+            act(60, "lp", "deposit", assets=1),
+            act(120, "lp", "deposit", assets=1),
+        ])
+    result = run_to_halt(tmp_path, path, 60)
+    at_60 = [(r.action, r.order_id) for r in result.receipts if r.time == 60]
+    assert at_60 == [("trigger_settle", 3)]
+    # the failed close reverted and the limit open never ran: both still pending
+    assert set(result.engine.orders) == {3, 4}
+    assert set(result.engine.positions) == {1, 2}
+    assert [s.time for s in result.snapshots] == [0, 60]
+
+
+def test_insolvent_liquidation_halts_the_sweep(tmp_path):
+    """A year at 365% makes the long liquidatable despite pnl +1000; all its
+    fees go to the treasury, so the vault pays 1000 of its 1000 while the
+    short reserves 500. The sweep stops there: the short, liquidatable too,
+    and the later action write no row."""
+    config = dict(FRICTIONLESS, base_fee={"k_b": 0, "c_b": 365})
+    year = SECONDS_PER_YEAR
+    path = build(
+        tmp_path, config=config, extra={"treasury_fee_share": 100},
+        trace_rows=both_feeds(0, 2000) + both_feeds(year, 6000) + both_feeds(year + 60, 6000),
+        actions=[
+            act(0, "lp", "deposit", assets=1000),
+            act(0, "trader", "create_order", kind="market_open", direction="long",
+                size=500, collateral=50, acceptable_price=2000, max_slippage=1),
+            act(0, "trader", "settle_order", order_id=1),
+            act(0, "trader", "create_order", kind="market_open", direction="short",
+                size=500, collateral=50, acceptable_price=2000, max_slippage=1),
+            act(0, "trader", "settle_order", order_id=2),
+            act(year, "lp", "liquidate_check"),
+            act(year, "lp", "deposit", assets=1),
+            act(year + 60, "lp", "deposit", assets=1),
+        ])
+    result = run_to_halt(tmp_path, path, year)
+    at_year = [(r.action, r.position_id) for r in result.receipts if r.time == year]
+    assert at_year == [("liquidate_check", 1)]
+    assert set(result.engine.positions) == {1, 2}
+    assert [s.time for s in result.snapshots] == [0, year]
+
+
 def test_liquidate_check_sweep_and_explicit(tmp_path):
     path = build(
         tmp_path,
@@ -325,6 +399,37 @@ def test_rates_are_computed_once_while_the_pool_does_not_change(tmp_path, monkey
     last = result.snapshots[-1]
     assert last.time == times[-1] and last.borrow_rate_long > last.borrow_rate_short > 0
     assert last.cum_fee_index_long > last.cum_fee_index_short > 0
+
+
+def test_the_runner_accrues_only_through_snapshots(tmp_path, monkeypatch):
+    """K price-only event times make no Engine.accrue call: one per snapshot, not K + 1.
+
+    The engine accrues inside every call that reads or changes the pool; the
+    snapshot accrues to its own time, so its indices still move."""
+    config = dict(FRICTIONLESS, base_fee={"k_b": 0, "c_b": 36.5})
+    times = range(0, 60 * 51, 60)   # the open at 0, then K = 50 price-only times
+    path = build(
+        tmp_path, config=config, interval=600,
+        trace_rows=[row for t in times for row in both_feeds(t, 2000)],
+        actions=[
+            act(0, "lp", "deposit", assets=10_000),
+            act(0, "trader", "create_order", kind="market_open", direction="long",
+                size=3000, collateral=500, acceptable_price=2000, max_slippage=1),
+            act(0, "trader", "settle_order", order_id=1),
+        ])
+    calls = [0]
+    accrue = perpamm.engine.Engine.accrue
+
+    def counting(engine, now):
+        calls[0] += 1
+        return accrue(engine, now)
+
+    monkeypatch.setattr(perpamm.engine.Engine, "accrue", counting)
+    result = run_files(path)
+    assert [s.time for s in result.snapshots] == list(range(0, 3001, 600))
+    assert calls[0] == len(result.snapshots)
+    indices = [s.cum_fee_index_long for s in result.snapshots]
+    assert indices == sorted(set(indices)) and indices[0] == 0.0
 
 
 def test_amount_params_are_parsed_through_the_module_to_units(monkeypatch):
