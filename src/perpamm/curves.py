@@ -8,11 +8,11 @@ Pure functions over three parameter sets:
   to the side with the larger open interest.
 
 Utilization, skew, deviation and fee rates are all expressed on a 0-100
-percent scale; fee rates are annualized. Raw math runs in binary64
-(:func:`parabola`, :func:`sigmoid`); every value the ``eval_*`` functions
-return is quantized to nine fractional decimal digits (round-half-even) so
-downstream state and reports are platform-stable. Quotes are exact integer
-arithmetic on prices in 1e-9 units.
+percent scale; fee rates are annualized. Only the raw curves
+(:func:`parabola`, :func:`sigmoid`) run in binary64, on a binary64 percent.
+The ``eval_*`` curves, skew and borrow rates are int counts of 1e-9 percent
+("nanos"), each rounded half-even once. Quotes are exact integer arithmetic
+on prices in 1e-9 units.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, QuoteError
-from .money import div_round_half_even, format_nanos, nanos9, quantize9
+from .money import div_round_half_even, format_nanos, nanos9
 
 
 @dataclass(frozen=True)
@@ -91,31 +91,31 @@ def sigmoid(skew_pct: float, steepness: float, m_max: float) -> float:
     return m_max * (1.0 - e) / (1.0 + e)
 
 
-def eval_deviation(u: float, p: DeviationParams) -> float:
-    """Price deviation in percent at utilization u (0-100)."""
+def eval_deviation(u: float, p: DeviationParams) -> int:
+    """Price deviation in nanos of a percent at utilization u (0-100 percent)."""
     check_utilization(u)
-    return quantize9(parabola(u, p.k_delta, p.c_d))
+    return nanos9(parabola(u, p.k_delta, p.c_d))
 
 
-def eval_base_fee(u: float, p: BaseFeeParams) -> float:
-    """Annualized base borrowing fee in percent at utilization u (0-100)."""
+def eval_base_fee(u: float, p: BaseFeeParams) -> int:
+    """Annualized base borrowing fee in nanos of a percent at utilization u (0-100 percent)."""
     check_utilization(u)
-    return quantize9(parabola(u, p.k_b, p.c_b))
+    return nanos9(parabola(u, p.k_b, p.c_b))
 
 
-def eval_dynamic_fee(skew_pct: float, p: DynamicFeeParams) -> float:
-    """Annualized dynamic borrowing fee in percent at skew (percent, >= 0)."""
+def eval_dynamic_fee(skew_pct: float, p: DynamicFeeParams) -> int:
+    """Annualized dynamic borrowing fee in nanos of a percent at skew (percent, >= 0)."""
     check_skew(skew_pct)
-    return quantize9(sigmoid(skew_pct, p.steepness, p.m_max))
+    return nanos9(sigmoid(skew_pct, p.steepness, p.m_max))
 
 
-def compute_skew(long_oi, short_oi, pool_value) -> float:
-    """Market skew 100*|L-S|/P in percent; symmetric in L and S."""
+def compute_skew(long_oi: int, short_oi: int, pool_value: int) -> int:
+    """Market skew 100*|L-S|/P in nanos of a percent, rounded half-even; symmetric in L and S."""
     if pool_value <= 0:
         raise DomainError("pool value must be positive")
     if long_oi < 0 or short_oi < 0:
         raise DomainError("open interest must be non-negative")
-    return quantize9(100.0 * abs(float(long_oi) - float(short_oi)) / float(pool_value))
+    return div_round_half_even(100 * 10**9 * abs(long_oi - short_oi), pool_value)
 
 
 # -- Quoting -----------------------------------------------------------------
@@ -123,10 +123,9 @@ def compute_skew(long_oi, short_oi, pool_value) -> float:
 def quote_nanos(price_nanos: int, u: float, p: DeviationParams) -> tuple[int, int]:
     """(long, short) = price * (1 +/- delta/100) in 1e-9 units, exact, rounded once half-even.
 
-    delta is the deviation curve at u, taken at 9 digits as `eval_deviation` does.
+    delta is `eval_deviation` at u.
     """
-    check_utilization(u)
-    d = nanos9(parabola(u, p.k_delta, p.c_d))   # delta in 1e-9 percent; 10**11 is 100%
+    d = eval_deviation(u, p)   # 10**11 nanos is 100%
     if d >= 10**11:
         raise QuoteError(f"deviation {format_nanos(d)}% leaves no positive short quote")
     return (div_round_half_even(price_nanos * (10**11 + d), 10**11),
@@ -141,19 +140,12 @@ def quote_prices_units(price_units: int, u: float, p: DeviationParams) -> tuple[
     return div_round_half_even(long_q, 1000), div_round_half_even(short_q, 1000)
 
 
-def total_borrow_rates(
-    u: float,
-    skew: float,
-    long_oi,
-    short_oi,
-    base: BaseFeeParams,
-    dyn: DynamicFeeParams,
-) -> tuple[float, float]:
-    """Annualized (long, short) borrow rates in percent at utilization u and skew.
+def total_borrow_rates(u: float, skew: float, long_oi: int, short_oi: int,
+                       base: BaseFeeParams, dyn: DynamicFeeParams) -> tuple[int, int]:
+    """Annualized (long, short) borrow rates, in nanos of a percent, at percents u and skew.
 
     Both sides pay the base fee; only the side with strictly greater open
-    interest additionally pays the dynamic fee, evaluated at `skew` (see
-    :func:`compute_skew`).
+    interest additionally pays the dynamic fee, evaluated at `skew`.
     """
     fb = eval_base_fee(u, base)
     if long_oi == short_oi:

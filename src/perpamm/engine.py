@@ -12,9 +12,10 @@ All monetary state is integer base units (1e-6). Borrow fees accrue lazily
 through per-side cumulative indices: each entry point that reads or changes
 the pool, and `accrue`, which a snapshot calls, first rolls the indices
 forward at the rates prevailing since the last accrual, so the engine is the
-only accrual driver. A position owes size * (index_now - index_at_entry)
-when it closes. Indices accumulate in raw binary64; the rates feeding them
-are 9-digit-quantized curve outputs.
+only accrual driver. Rates are ints in nanos (1e-9) of a percent and an
+index is their int sum times seconds, so accruing in one step or in several
+gives the same index. A position owes, half-even, size * (index_now -
+index_at_entry) / FEE_INDEX_SCALE when it closes.
 
 Utilization, skew and both borrow rates read only (long OI, short OI, pool
 value), so the engine computes them once per change of that triple
@@ -63,11 +64,10 @@ from .errors import (
     UnknownPosition,
 )
 from .money import (
-    SECONDS_PER_YEAR,
+    FEE_INDEX_SCALE,
     UNIT_SCALE,
     div_round_half_even,
     pct_of,
-    quantize9,
 )
 from .oracle import FeedStore, OracleConfig, TradeSide, aggregate
 from .vault import VaultState
@@ -124,8 +124,8 @@ class PoolState(NamedTuple):
 
     long_oi: int
     short_oi: int
-    cum_fee_index_long: float
-    cum_fee_index_short: float
+    cum_fee_index_long: int    # sum of rate nanos * seconds (money.FEE_INDEX_SCALE)
+    cum_fee_index_short: int
     last_accrual_time: int
 
     @property
@@ -141,7 +141,7 @@ class Position(NamedTuple):
     size: int
     collateral: int
     entry_price: int
-    entry_fee_index: float
+    entry_fee_index: int
 
 
 class Order(NamedTuple):
@@ -169,22 +169,22 @@ class SettlementReceipt(NamedTuple):
 
 # -- Pure state operations ----------------------------------------------------
 
-def utilization_pct(pool: PoolState, pool_value: int) -> float:
-    """Utilization 100*reserved/pool_value in percent, 9-digit quantized."""
+def utilization_pct(pool: PoolState, pool_value: int) -> int:
+    """Utilization 100*reserved/pool_value in nanos of a percent, rounded half-even."""
     if pool_value <= 0:
         raise DomainError("pool value must be positive")
-    return quantize9(100.0 * float(pool.reserved) / float(pool_value))
+    return div_round_half_even(100 * 10**9 * pool.reserved, pool_value)
 
 
 def pool_metrics(pool: PoolState, pool_value: int,
-                 cfg: MarketConfig) -> tuple[float, float, float, float]:
-    """(utilization, skew, long rate, short rate) in percent; zeros for an empty pool."""
+                 cfg: MarketConfig) -> tuple[int, int, int, int]:
+    """(utilization, skew, long rate, short rate) in percent nanos; zeros for an empty pool."""
     if pool_value <= 0:
-        return 0.0, 0.0, 0.0, 0.0
+        return 0, 0, 0, 0
     u = utilization_pct(pool, pool_value)
     skew = compute_skew(pool.long_oi, pool.short_oi, pool_value)
     rate_long, rate_short = total_borrow_rates(
-        u, skew, pool.long_oi, pool.short_oi, cfg.base_fee, cfg.dynamic_fee)
+        u / 10**9, skew / 10**9, pool.long_oi, pool.short_oi, cfg.base_fee, cfg.dynamic_fee)
     return u, skew, rate_long, rate_short
 
 
@@ -192,12 +192,13 @@ def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
                 now: int, metrics=pool_metrics) -> PoolState:
     """Roll both cumulative fee indices forward to `now`.
 
-    Rates are evaluated once at the pre-accrual state, so accruing [t0, t2]
-    equals accruing [t0, t1] then [t1, t2] when nothing else changes in
-    between, up to binary64 rounding. At dt == 0 the same pool object comes
-    back. `metrics` is `pool_metrics` or an engine's memo of it
-    (`Engine.metrics`). An empty pool accrues at zero rates; the engine keeps
-    reserved <= pool value, so it holds no open interest then.
+    Each index grows by its side's rate (nanos of a percent, evaluated once
+    at the pre-accrual state) times dt, in ints, so accruing [t0, t2] equals
+    accruing [t0, t1] then [t1, t2] exactly when nothing else changes in
+    between. At dt == 0 the same pool object comes back. `metrics` is
+    `pool_metrics` or an engine's memo of it (`Engine.metrics`). An empty
+    pool accrues at zero rates; the engine keeps reserved <= pool value, so
+    it holds no open interest then.
     """
     if now < pool.last_accrual_time:
         raise ClockRegression(
@@ -206,11 +207,9 @@ def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
     if dt == 0:
         return pool
     _, _, rate_long, rate_short = metrics(pool, pool_value, cfg)
-    year_frac = dt / SECONDS_PER_YEAR
     return PoolState(pool.long_oi, pool.short_oi,
-                     pool.cum_fee_index_long + (rate_long / 100.0) * year_frac,
-                     pool.cum_fee_index_short + (rate_short / 100.0) * year_frac,
-                     now)
+                     pool.cum_fee_index_long + rate_long * dt,
+                     pool.cum_fee_index_short + rate_short * dt, now)
 
 
 def _add_oi(pool: PoolState, direction: Direction, amount: int) -> PoolState:
@@ -224,7 +223,7 @@ def _add_oi(pool: PoolState, direction: Direction, amount: int) -> PoolState:
                      pool.cum_fee_index_short, pool.last_accrual_time)
 
 
-def _side_index(pool: PoolState, direction: Direction) -> float:
+def _side_index(pool: PoolState, direction: Direction) -> int:
     return pool.cum_fee_index_long if direction is Direction.LONG else pool.cum_fee_index_short
 
 
@@ -236,7 +235,7 @@ def _pnl(pos: Position, mark: int) -> int:
 
 def _owed_borrow_fee(pos: Position, pool: PoolState) -> int:
     delta = _side_index(pool, pos.direction) - pos.entry_fee_index
-    return round(pos.size * delta)
+    return div_round_half_even(pos.size * delta, FEE_INDEX_SCALE)
 
 
 def position_equity(pos: Position, pool: PoolState, mark_price: int) -> int:
@@ -302,7 +301,7 @@ class Engine:
         self.primary_feed = primary_feed
         self.secondary_feed = secondary_feed
 
-        self.pool = PoolState(0, 0, 0.0, 0.0, 0)
+        self.pool = PoolState(0, 0, 0, 0, 0)
         self.treasury = 0
         self.positions: dict[int, Position] = {}
         self.orders: dict[int, Order] = {}
@@ -315,7 +314,7 @@ class Engine:
         self._next_position_id = 1
         # one-entry memo of pool_metrics: the key it was computed at, and its result
         self._metrics_key: tuple | None = None
-        self._metrics: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+        self._metrics: tuple[int, int, int, int] = (0, 0, 0, 0)
 
     # -- state views ------------------------------------------------------------
 
@@ -323,7 +322,7 @@ class Engine:
         return sum(p.collateral for p in self.positions.values())
 
     def metrics(self, pool: PoolState, pool_value: int,
-                cfg: MarketConfig) -> tuple[float, float, float, float]:
+                cfg: MarketConfig) -> tuple[int, int, int, int]:
         """`pool_metrics(pool, pool_value, cfg)`, computed once per change of its inputs.
 
         The metrics read only (long_oi, short_oi, pool_value) and the config,
@@ -483,8 +482,8 @@ class Engine:
                 order.kind, order.direction, order.trigger_price, mark):
             raise TriggerNotMet(f"order {order_id} trigger not met at {mark}")
 
-        long_q, short_q = quote_prices_units(
-            mark, utilization_pct(pool, self.vault.total_assets), self.config.deviation)
+        u = utilization_pct(pool, self.vault.total_assets) / 10**9   # the curve's percent
+        long_q, short_q = quote_prices_units(mark, u, self.config.deviation)
         # buys take the long (ask) quote, sells the short (bid) quote
         exec_price = long_q if buying else short_q
         self._check_slippage(side, exec_price, order.acceptable_price,

@@ -5,12 +5,11 @@ Percent- and ratio-typed configuration values use the same 1e-6 integer
 scale so that every comparison against them (slippage, leverage, margin,
 oracle deviation bands) is exact integer cross-multiplication.
 
-Curve evaluation happens in binary64; any curve output that enters engine
-state or a report is first quantized to nine fractional decimal digits with
-round-half-even by the float's own correctly rounded ``.9f`` format (see
-:func:`quantize9`). ``Decimal`` only parses input amounts that are not plain
-decimal strings (:func:`to_units`): Decimals, floats and the other spellings
-``Decimal`` accepts, such as ``"1e3"``.
+Utilization, skew, deviation and rates are int counts of 1e-9 percent
+("nanos"); a binary64 curve output becomes one through its own correctly
+rounded ``.9f`` digits, round-half-even (:func:`nanos9`). ``Decimal`` only
+parses input amounts that are not plain decimal strings (:func:`to_units`):
+Decimals, floats and the other spellings ``Decimal`` accepts, such as ``"1e3"``.
 """
 
 from __future__ import annotations
@@ -22,9 +21,11 @@ from .errors import ConfigError, DomainError
 
 UNIT_SCALE = 10**6          # base units per whole money/percent/ratio unit
 SECONDS_PER_YEAR = 31_536_000   # 365-day year for annualized-rate conversion
-# Latest timestamp, in seconds, a trace row or an action may carry: a year
-# fraction then stays below 3e11, so fee accrual stays finite at every rate
-# quantize9 accepts.
+# fee-index units per unit fee per unit size: an index adds rate nanos * seconds
+FEE_INDEX_SCALE = 100 * 10**9 * SECONDS_PER_YEAR
+# Latest timestamp, in seconds, a trace row or an action may carry (the largest
+# signed 64-bit int): it bounds the ints accrual forms, so a fee-index step,
+# rate nanos (below 10**50) * seconds, stays below 10**69.
 MAX_TIMESTAMP = 2**63 - 1
 
 # exact for every finite Decimal: never rounds, overflows or underflows
@@ -52,9 +53,9 @@ def pct_of(amount: int, pct_units: int) -> int:
 
 # -- Base-unit conversion --------------------------------------------------------
 
-# Largest amount, in base units, an input may carry: 10**24 whole units. Sums
-# of such amounts stay far inside binary64 range when the engine divides them
-# as floats (utilization, skew).
+# Largest amount, in base units, an input may carry: 10**24 whole units. It
+# bounds the ints the engine multiplies (a fee is size * index delta), and keeps
+# a utilization's or skew's percent, nanos / 10**9, a finite double for a curve.
 MAX_UNITS = 10**30
 _MAX_WHOLE = MAX_UNITS // UNIT_SCALE
 _MAX_WHOLE_DEC = Decimal(_MAX_WHOLE)

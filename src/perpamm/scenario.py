@@ -25,7 +25,8 @@ from typing import NamedTuple
 from .config import load_market_config, read_json
 from .engine import Direction, Engine, OrderKind
 from .errors import InsolventVault, NotLiquidatable, ProtocolError, ScenarioError
-from .money import MAX_TIMESTAMP, format9, format_units, to_units
+from .money import (FEE_INDEX_SCALE, MAX_TIMESTAMP, div_round_half_even, format_nanos,
+                    format_units, to_units)
 from .oracle import PricePoint, load_trace
 
 
@@ -116,26 +117,28 @@ class SnapshotRow(NamedTuple):
     reserved: int
     long_oi: int
     short_oi: int
-    utilization: float
-    skew: float
-    borrow_rate_long: float
-    borrow_rate_short: float
-    cum_fee_index_long: float
-    cum_fee_index_short: float
+    utilization: int
+    skew: int
+    borrow_rate_long: int
+    borrow_rate_short: int
+    cum_fee_index_long: int
+    cum_fee_index_short: int
     vault_shares: int
-    share_price: float
+    share_price: int
     open_positions: int
     open_collateral: int
     treasury: int
 
     def as_csv(self) -> list[str]:
+        per_nano = FEE_INDEX_SCALE // 10**9   # an index prints as nanos of a unit fee
         return [
             str(self.time), format_units(self.pool_value), format_units(self.reserved),
             format_units(self.long_oi), format_units(self.short_oi),
-            format9(self.utilization), format9(self.skew),
-            format9(self.borrow_rate_long), format9(self.borrow_rate_short),
-            format9(self.cum_fee_index_long), format9(self.cum_fee_index_short),
-            format_units(self.vault_shares), format9(self.share_price),
+            format_nanos(self.utilization), format_nanos(self.skew),
+            format_nanos(self.borrow_rate_long), format_nanos(self.borrow_rate_short),
+            format_nanos(div_round_half_even(self.cum_fee_index_long, per_nano)),
+            format_nanos(div_round_half_even(self.cum_fee_index_short, per_nano)),
+            format_units(self.vault_shares), format_nanos(self.share_price),
             str(self.open_positions), format_units(self.open_collateral),
             format_units(self.treasury),
         ]
@@ -375,10 +378,13 @@ class _Runner:
 
     def _dispatch(self, action: Action) -> None:
         handler = getattr(self, f"_do_{action.kind}")
+        params = {}   # stays empty when parsing fails: the row then carries no ids
         try:
-            handler(action, _parse_params(action))
+            params = _parse_params(action)
+            handler(action, params)
         except ProtocolError as exc:
-            self._failed(action.time, action.actor, action.kind, exc)
+            self._failed(action.time, action.actor, action.kind, exc,
+                         order_id=params.get("order_id"), position_id=params.get("position_id"))
 
     def _do_deposit(self, action: Action, params: dict) -> None:
         assets = params["assets"]

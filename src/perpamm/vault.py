@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import (DomainError, InsolventVault, InsufficientLiquidity,
                      InsufficientShares, ZeroShareMint)
+from .money import div_round_half_even
 
 
 class VaultState:
@@ -76,11 +77,11 @@ class VaultState:
                 f"debit {amount} exceeds vault assets {self.total_assets}")
         self.total_assets -= amount
 
-    def share_price(self) -> float:
-        """Assets per share; 1.0 for an empty vault (bootstrap price)."""
+    def share_price(self) -> int:
+        """Assets per share in nanos (1e-9), rounded half-even; 10**9 for an empty vault."""
         if self.total_shares == 0:
-            return 1.0
-        return self.total_assets / self.total_shares
+            return 10**9
+        return div_round_half_even(self.total_assets * 10**9, self.total_shares)
 
     def clone(self) -> "VaultState":
         """Independent copy; the engine never copies its vault, but perfbench counts calls."""

@@ -19,16 +19,19 @@ from perpamm.curves import (
     BaseFeeParams,
     DeviationParams,
     DynamicFeeParams,
+    check_utilization,
     compute_skew,
     eval_base_fee,
     eval_deviation,
     eval_dynamic_fee,
+    parabola,
     quote_nanos,
     quote_prices_units,
+    sigmoid,
     total_borrow_rates,
 )
 from perpamm.errors import DomainError, QuoteError
-from perpamm.money import div_round_half_even, format9, format_nanos, to_units
+from perpamm.money import div_round_half_even, format9, format_nanos, quantize9, to_units
 
 
 def sigmoid_oracle(sigma: float, m_max: float, steepness: float) -> float:
@@ -50,18 +53,17 @@ def parabola_oracle(u: float, coeff: str, const: str) -> float:
 # -- Deviation curve -------------------------------------------------------------
 
 def test_deviation_collapses_to_constant_at_zero_utilization():
-    assert eval_deviation(0, DeviationParams(0.0004, 0.5)) == 0.5
+    assert eval_deviation(0, DeviationParams(0.0004, 0.5)) == 500_000_000
 
 
 @pytest.mark.parametrize("u,kd,expected", [
-    (100, "0.0004", 4.0),
-    (100, "0.0005", 5.0),
-    (50, "0.0004", 1.0),
-])
+    (100, "0.0004", 4_000_000_000),
+    (100, "0.0005", 5_000_000_000),
+    (50, "0.0004", 1_000_000_000),
+], ids=["100-0.0004-4.0", "100-0.0005-5.0", "50-0.0004-1.0"])   # ids kept in percent
 def test_deviation_matches_polynomial_oracle(u, kd, expected):
-    assert parabola_oracle(u, kd, "0") == expected
-    assert eval_deviation(u, DeviationParams(float(kd), 0.0)) == pytest.approx(
-        expected, abs=1e-9)
+    assert parabola_oracle(u, kd, "0") * 10**9 == expected
+    assert eval_deviation(u, DeviationParams(float(kd), 0.0)) == expected
 
 
 @pytest.mark.parametrize("u", [-0.001, 100.001, -5, 200])
@@ -109,7 +111,8 @@ def test_quote_rejects_full_deviation():
 
 def quote_nanos_reference(price_nanos: int, u: float, p: DeviationParams) -> tuple[int, int]:
     """quote_nanos as first written: the deviation through quantize9, then back to an int."""
-    delta = eval_deviation(u, p)
+    check_utilization(u)
+    delta = quantize9(parabola(u, p.k_delta, p.c_d))
     if delta >= 100:
         raise QuoteError(f"deviation {format9(delta)}% leaves no positive short quote")
     d = round(delta * 10**9)
@@ -186,19 +189,18 @@ def test_deviated_quote_of_a_long_price_is_not_rounded_at_28_digits():
 # -- Base fee ---------------------------------------------------------------------
 
 def test_base_fee_constant_shift_at_zero_utilization():
-    assert eval_base_fee(0, BaseFeeParams(0.0325, 2.0)) == 2.0
+    assert eval_base_fee(0, BaseFeeParams(0.0325, 2.0)) == 2_000_000_000
 
 
 @pytest.mark.parametrize("u,kb,expected", [
-    (100, "0.0325", 325.0),
-    (50, "0.01", 25.0),
-    (100, "0.01", 100.0),
-    (100, "0.005", 50.0),
-])
+    (100, "0.0325", 325_000_000_000),
+    (50, "0.01", 25_000_000_000),
+    (100, "0.01", 100_000_000_000),
+    (100, "0.005", 50_000_000_000),
+], ids=["100-0.0325-325.0", "50-0.01-25.0", "100-0.01-100.0", "100-0.005-50.0"])
 def test_base_fee_matches_polynomial_oracle(u, kb, expected):
-    assert parabola_oracle(u, kb, "0") == expected
-    assert eval_base_fee(u, BaseFeeParams(float(kb), 0.0)) == pytest.approx(
-        expected, abs=1e-9)
+    assert parabola_oracle(u, kb, "0") * 10**9 == expected
+    assert eval_base_fee(u, BaseFeeParams(float(kb), 0.0)) == expected
 
 
 def test_base_fee_rejects_out_of_range_utilization():
@@ -209,10 +211,10 @@ def test_base_fee_rejects_out_of_range_utilization():
 # -- Skew -------------------------------------------------------------------------
 
 @pytest.mark.parametrize("lo,so,pool,expected", [
-    (500, 500, 1000, 0.0),
-    (600, 400, 1000, 20.0),
-    (0, 1000, 1000, 100.0),
-])
+    (500, 500, 1000, 0),
+    (600, 400, 1000, 20_000_000_000),
+    (0, 1000, 1000, 100_000_000_000),
+], ids=["500-500-1000-0.0", "600-400-1000-20.0", "0-1000-1000-100.0"])
 def test_skew_examples(lo, so, pool, expected):
     assert compute_skew(lo, so, pool) == expected
 
@@ -233,21 +235,21 @@ def test_skew_is_symmetric(lo, so, pool):
 # -- Dynamic fee --------------------------------------------------------------------
 
 def test_dynamic_fee_zero_at_origin():
-    assert eval_dynamic_fee(0, DynamicFeeParams(500, 0.0325)) == 0.0
-    assert eval_dynamic_fee(0, DynamicFeeParams(123, 0.9)) == 0.0
+    assert eval_dynamic_fee(0, DynamicFeeParams(500, 0.0325)) == 0
+    assert eval_dynamic_fee(0, DynamicFeeParams(123, 0.9)) == 0
 
 
 @pytest.mark.parametrize("sigma,k,m,frozen", [
-    (100, 0.0325, 500, 462.673112656),
-    (40, 0.0125, 500, 122.459331202),
+    (100, 0.0325, 500, 462_673_112_656),
+    (40, 0.0125, 500, 122_459_331_202),
     # the heavier-side composition example; value from the sigmoid oracle
-    (20, 0.0125, 500, 62.176500886),
-])
+    (20, 0.0125, 500, 62_176_500_886),
+], ids=["100-0.0325-500-462.673112656", "40-0.0125-500-122.459331202",
+        "20-0.0125-500-62.176500886"])
 def test_dynamic_fee_matches_sigmoid_oracle(sigma, k, m, frozen):
     oracle = sigmoid_oracle(sigma, m, k)
-    assert frozen == pytest.approx(oracle, abs=5e-10)
-    assert eval_dynamic_fee(sigma, DynamicFeeParams(m, k)) == pytest.approx(
-        frozen, abs=1e-9)
+    assert frozen == pytest.approx(oracle * 10**9, abs=0.5)
+    assert eval_dynamic_fee(sigma, DynamicFeeParams(m, k)) == frozen
 
 
 def test_dynamic_fee_rejects_negative_skew():
@@ -305,7 +307,7 @@ def test_dynamic_fee_closed_forms_agree_ten_thousand_points():
 def test_dynamic_fee_monotone_and_bounded(m, k, lo, delta):
     p = DynamicFeeParams(m, k)
     assert eval_dynamic_fee(lo, p) <= eval_dynamic_fee(lo + delta, p)
-    assert 0.0 <= eval_dynamic_fee(lo + delta, p) < m
+    assert 0 <= eval_dynamic_fee(lo + delta, p) < Fraction(m) * 10**9
 
 
 def test_dynamic_fee_matches_tanh_form():
@@ -319,12 +321,12 @@ def test_dynamic_fee_matches_tanh_form():
         k = rng.uniform(1e-6, 0.05)
         got = eval_dynamic_fee(sigma, DynamicFeeParams(m, k))
         want = m * math.tanh(k * sigma / 2.0)
-        assert abs(got - want) <= 5e-10 + 1e-12 * abs(want)   # half a 9-digit tick
+        assert abs(got - want * 10**9) <= 0.5 + 1e-3 * abs(want)   # half a 9-digit tick
 
 
 def test_dynamic_fee_approaches_maximum():
     p = DynamicFeeParams(500, 0.0325)
-    assert eval_dynamic_fee(1e6, p) >= 500 * (1 - 1e-6)
+    assert eval_dynamic_fee(1e6, p) >= 499_999_500_000
 
 
 # -- Total borrow rates ----------------------------------------------------------------
@@ -335,21 +337,21 @@ DYN = DynamicFeeParams(500, 0.0125)
 
 def rates_at_half(long_oi, short_oi, pool_value):
     """(long, short) rates at 50% utilization for a book."""
-    return total_borrow_rates(50, compute_skew(long_oi, short_oi, pool_value),
+    return total_borrow_rates(50, compute_skew(long_oi, short_oi, pool_value) / 10**9,
                               long_oi, short_oi, BASE, DYN)
 
 
 def test_balanced_book_pays_base_fee_only():
     long_rate, short_rate = rates_at_half(700, 700, 1400)
-    assert long_rate == short_rate == 25.0
+    assert long_rate == short_rate == 25_000_000_000
 
 
 def test_heavier_long_side_pays_dynamic_fee():
     fd = eval_dynamic_fee(20, DYN)
     long_rate, short_rate = rates_at_half(600, 400, 1000)
-    assert short_rate == 25.0
-    assert long_rate == pytest.approx(25.0 + fd, abs=1e-9)
-    assert long_rate == pytest.approx(25.0 + 62.176500886, abs=2e-9)
+    assert short_rate == 25_000_000_000
+    assert long_rate == 25_000_000_000 + fd
+    assert long_rate == 25_000_000_000 + 62_176_500_886
 
 
 def test_heavier_short_side_mirrors():
@@ -363,8 +365,8 @@ def test_heavier_short_side_mirrors():
        kd=st.floats(min_value=0, max_value=0.005),
        kb=st.floats(min_value=0, max_value=0.04))
 def test_zero_coefficient_collapses_to_constant(u, kd, kb):
-    assert eval_deviation(u, DeviationParams(0.0, 1.5)) == 1.5
-    assert eval_base_fee(u, BaseFeeParams(0.0, 2.25)) == 2.25
+    assert eval_deviation(u, DeviationParams(0.0, 1.5)) == 1_500_000_000
+    assert eval_base_fee(u, BaseFeeParams(0.0, 2.25)) == 2_250_000_000
     # and nondecreasing in u with positive coefficients
     if u < 100:
         assert eval_deviation(u, DeviationParams(kd, 0)) <= eval_deviation(
@@ -375,4 +377,5 @@ def test_zero_coefficient_collapses_to_constant(u, kd, kb):
 
 def test_nine_digit_quantization_applies():
     value = eval_dynamic_fee(33.3, DynamicFeeParams(500, 0.0325))
-    assert Decimal(format9(value)) == Decimal(repr(value)).quantize(Decimal("1e-9"))
+    raw = sigmoid(33.3, 0.0325, 500)
+    assert Decimal(format_nanos(value)) == Decimal(repr(raw)).quantize(Decimal("1e-9"))

@@ -49,7 +49,7 @@ from perpamm.errors import (
     UnknownPosition,
     ZeroShareMint,
 )
-from perpamm.money import MAX_TIMESTAMP, SECONDS_PER_YEAR, to_units
+from perpamm.money import FEE_INDEX_SCALE, MAX_TIMESTAMP, SECONDS_PER_YEAR, to_units
 from perpamm.oracle import PricePoint
 
 U = to_units  # shorthand: whole units -> base units
@@ -57,7 +57,7 @@ U = to_units  # shorthand: whole units -> base units
 DAY = 86_400
 
 
-def pool(long_oi=0, short_oi=0, idx_long=0.0, idx_short=0.0, t=0):
+def pool(long_oi=0, short_oi=0, idx_long=0, idx_short=0, t=0):
     return PoolState(long_oi=long_oi, short_oi=short_oi, cum_fee_index_long=idx_long,
                      cum_fee_index_short=idx_short, last_accrual_time=t)
 
@@ -76,9 +76,9 @@ def open_position(engine, owner="t", size=U(1000), collateral=U(100),
 # -- Utilization ---------------------------------------------------------------
 
 def test_utilization_examples():
-    assert utilization_pct(pool(), U(10000)) == 0.0
-    assert utilization_pct(pool(long_oi=U(2500)), U(10000)) == 25.0
-    assert utilization_pct(pool(long_oi=U(4000), short_oi=U(6000)), U(10000)) == 100.0
+    assert utilization_pct(pool(), U(10000)) == 0
+    assert utilization_pct(pool(long_oi=U(2500)), U(10000)) == 25_000_000_000
+    assert utilization_pct(pool(long_oi=U(4000), short_oi=U(6000)), U(10000)) == 100_000_000_000
 
 
 def test_utilization_rejects_empty_pool():
@@ -108,12 +108,12 @@ def test_ten_day_accrual_at_constant_rate():
     assert oracle == Fraction(1, 100)
     state = pool(long_oi=U(1000))
     after = accrue_fees(state, U(10000), RATED, 10 * DAY)
-    assert after.cum_fee_index_long == pytest.approx(0.01, abs=1e-15)
-    assert after.cum_fee_index_short == pytest.approx(0.01, abs=1e-15)
+    assert after.cum_fee_index_long == FEE_INDEX_SCALE // 100
+    assert after.cum_fee_index_short == FEE_INDEX_SCALE // 100
     # a size-1000 position on the long side owes 10 units
-    pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0.0)
+    pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0)
     equity = position_equity(pos, after, U(2000))
-    assert abs((U(100) - equity) - U(10)) <= 1
+    assert U(100) - equity == U(10)
 
 
 def test_balanced_book_grows_both_indices_equally():
@@ -129,8 +129,9 @@ def test_heavier_side_rule_lighter_side_pays_base_only():
                       dynamic_fee=DynamicFeeParams(500, 0.0125))
     state = pool(long_oi=U(600), short_oi=U(400))
     after = accrue_fees(state, U(1000), cfg, 3 * DAY)
-    base_only = (utilization_pct(state, U(1000)) ** 2 * 0.01 / 100.0) * (3 * DAY / SECONDS_PER_YEAR)
-    assert after.cum_fee_index_short == pytest.approx(base_only, rel=1e-12)
+    u = utilization_pct(state, U(1000)) / 10**9
+    base_only = round(u ** 2 * 0.01 * 10**9) * 3 * DAY   # base rate in nanos * seconds
+    assert after.cum_fee_index_short == base_only
     assert after.cum_fee_index_long > after.cum_fee_index_short
 
 
@@ -138,18 +139,47 @@ def test_split_accrual_equals_single_step():
     state = pool(long_oi=U(2000), short_oi=U(1000))
     one = accrue_fees(state, U(10000), RATED, 1000)
     two = accrue_fees(accrue_fees(state, U(10000), RATED, 400), U(10000), RATED, 1000)
-    assert one.cum_fee_index_long == pytest.approx(
-        two.cum_fee_index_long, rel=1e-9)
-    assert one.cum_fee_index_short == pytest.approx(
-        two.cum_fee_index_short, rel=1e-9)
+    assert one.cum_fee_index_long == two.cum_fee_index_long
+    assert one.cum_fee_index_short == two.cum_fee_index_short
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_oi=st.integers(0, U(10**6)), short_oi=st.integers(0, U(10**6)),
+       idle=st.integers(1, U(10**6)), start=st.integers(0, 10**9),
+       first=st.integers(1, 10**8), second=st.integers(1, 10**8),
+       k_b=st.floats(0, 0.05), c_b=st.floats(0, 100),
+       m_max=st.floats(0, 1000), steepness=st.floats(1e-4, 0.1))
+def test_split_accrual_equals_single_accrual_exactly(long_oi, short_oi, idle, start, first,
+                                                     second, k_b, c_b, m_max, steepness):
+    """Accruing [t0, t2] in one step or cut at any t1 gives the same indices, to the bit."""
+    cfg = make_config(base_fee=BaseFeeParams(k_b, c_b),
+                      dynamic_fee=DynamicFeeParams(m_max, steepness))
+    pool_value = long_oi + short_oi + idle
+    state = pool(long_oi=long_oi, short_oi=short_oi, t=start)
+    cut, end = start + first, start + first + second
+    one = accrue_fees(state, pool_value, cfg, end)
+    two = accrue_fees(accrue_fees(state, pool_value, cfg, cut), pool_value, cfg, end)
+    assert one.cum_fee_index_long == two.cum_fee_index_long
+    assert one.cum_fee_index_short == two.cum_fee_index_short
+
+
+def test_ten_day_fee_on_a_huge_position_is_exact():
+    """36.5%/yr for 10 days owes exactly 1% of a 10**23-unit position (Fraction oracle)."""
+    size = U(10**23)
+    oracle = size * Fraction(365, 1000) * Fraction(10 * DAY, SECONDS_PER_YEAR)
+    assert oracle == U(10**21)
+    after = accrue_fees(pool(long_oi=size), U(10**24), RATED, 10 * DAY)
+    pos = Position(1, "t", Direction.LONG, size, U(10**22), U(2000), 0)
+    owed = pos.collateral - position_equity(pos, after, U(2000))   # no pnl at entry price
+    assert owed == oracle
 
 
 def test_accrual_to_the_latest_timestamp_is_finite():
-    # a rate just under quantize9's 1e41 bound, over the longest dt an input allows
+    # a rate just under nanos9's 1e41 bound, over the longest dt an input allows
     cfg = make_config(base_fee=BaseFeeParams(0.0, 9e40))
     after = accrue_fees(pool(long_oi=U(1000)), U(10000), cfg, MAX_TIMESTAMP)
     assert math.isfinite(after.cum_fee_index_long) and after.cum_fee_index_long > 0
-    pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0.0)
+    pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0)
     assert position_equity(pos, after, U(2000)) < 0
 
 
@@ -440,9 +470,9 @@ def test_close_nets_fees_against_trader_profit():
                               acceptable_price=U(4020), max_slippage=U(1),
                               position_id=pid)
     receipt = engine.settle_order(oid, t)
-    assert abs(receipt.borrow_fee_paid - U(10)) <= 1
-    assert abs(receipt.payout - U(1100)) <= 1
-    assert engine.vault.total_assets <= 1   # pool fully consumed, not insolvent
+    assert receipt.borrow_fee_paid == U(10)
+    assert receipt.payout == U(1100)
+    assert engine.vault.total_assets == 0   # pool fully consumed, not insolvent
 
 
 def test_trader_gain_equals_vault_loss_and_vice_versa(engine):
@@ -463,7 +493,7 @@ def test_trader_gain_equals_vault_loss_and_vice_versa(engine):
 def equity_fixture(direction=Direction.LONG):
     state = pool(long_oi=U(1000) if direction is Direction.LONG else 0,
                  short_oi=0 if direction is Direction.LONG else U(1000))
-    position = Position(1, "t", direction, U(1000), U(100), U(2000), 0.0)
+    position = Position(1, "t", direction, U(1000), U(100), U(2000), 0)
     return position, state
 
 

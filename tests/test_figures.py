@@ -18,7 +18,7 @@ from perpamm.curves import (
 )
 from perpamm.errors import DomainError, InvalidGrid
 from perpamm.figures import FIGURE_PARAMS, Grid, emit_figure_data
-from perpamm.money import format9, quantize9
+from perpamm.money import format9, format_nanos, quantize9
 from test_scenario import count_calls
 
 
@@ -142,7 +142,7 @@ def test_coefficient_table_cells_are_the_engine_curve(kind, ks, const, lo, step,
     table = emit_figure_data(kind, {key: ks, const_key: const}, grid)
     series = [make(float(k), float(const)) for k in ks]
     for point, row in zip(grid.points(), table.rows):
-        assert row == [format(point, "f")] + [format9(curve(float(point), p)) for p in series]
+        assert row == [format(point, "f")] + [format_nanos(curve(float(point), p)) for p in series]
 
 
 def test_negative_skew_grid_is_the_curve_domain_error():

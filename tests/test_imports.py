@@ -65,7 +65,35 @@ def test_checker_finds_module_imports():
 
 # Decimal parses input (money.to_units for Decimals, floats and strings that are
 # not plain decimals, JSON fractions, the CLI, figure grids and prices); the engine,
-# the curves, the oracle and the vault compute in ints and floats.
+# the curves, the oracle and the vault compute in ints (and binary64 inside the
+# raw curves).
 @pytest.mark.parametrize("name", ["engine.py", "curves.py", "oracle.py", "vault.py"])
 def test_computing_modules_do_not_import_decimal(name):
     assert not imports_module((PACKAGE / name).read_text(), "decimal")
+
+
+def names_used(source: str) -> set[str]:
+    """Every name the source imports, reads, or reads as an attribute."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_checker_finds_names_used():
+    source = "from .money import quantize9 as q\nimport perpamm\nperpamm.money.format9(1)\n"
+    assert {"quantize9", "format9"} <= names_used(source)
+    assert "format9" not in names_used("def f():\n    return 'format9'\n")
+
+
+# Utilization, skew, rates, fee indices and the share price are int nanos from
+# the curve's output to the fee; binary64 quantizing and printing (quantize9,
+# format9) stay out of the modules that compute and print them.
+@pytest.mark.parametrize("name", ["engine.py", "curves.py", "vault.py", "scenario.py"])
+def test_nano_modules_do_not_use_float_quantizing(name):
+    assert not {"quantize9", "format9"} & names_used((PACKAGE / name).read_text())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
-from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
+from decimal import MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 
 import pytest
 from hypothesis import example, given, settings
@@ -158,7 +158,8 @@ def test_to_units_rejects_with_a_message_for_any_input(value, match):
         to_units(value)
 
 
-_EXACT = Context(prec=100_000)
+# exponents down to MIN_EMIN: a tiny amount such as 1E-1100010 must not underflow to 0
+_EXACT = Context(prec=100_000, Emin=MIN_EMIN)
 
 
 def reference_units(text: str) -> int | str:
@@ -222,5 +223,6 @@ spelled_amounts = st.one_of(
 @example("0" * 5000 + "1.5")
 @example("1." + "0" * 5000)
 @example("1." + "0" * 5000 + "1")
+@example("1E-1100010")
 def test_to_units_on_strings_matches_decimal_reference(text):
     assert units_or_message(text) == reference_units(text)

@@ -12,9 +12,9 @@ RECORDS = [
     PricePoint("primary", 1, 0),
     Action(0, 0, "lp", "deposit", {}),
     ReceiptRow(1, 0, "lp", "deposit", "ok"),
-    SnapshotRow(0, 1, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 1.0, 0, 0, 0),
-    PoolState(0, 0, 0.0, 0.0, 0),
-    Position(1, "t", Direction.LONG, 1, 1, 1, 0.0),
+    SnapshotRow(0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 10**9, 0, 0, 0),
+    PoolState(0, 0, 0, 0, 0),
+    Position(1, "t", Direction.LONG, 1, 1, 1, 0),
     Order(1, "t", OrderKind.MARKET_OPEN, Direction.LONG, 1, 1, 0, 0, None),
     SettlementReceipt(1, 0, 0, 0),
 ]

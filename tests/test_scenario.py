@@ -95,10 +95,10 @@ def test_composed_ten_day_borrow_fee(tmp_path):
     result = run_files(path)
     close = result.receipts[-1]
     assert close.status == "ok"
-    assert abs(close.borrow_fee_paid - U(10)) <= 1
-    assert abs(close.cash_delta - U(90)) <= 1
+    assert close.borrow_fee_paid == U(10)
+    assert close.cash_delta == U(90)
     # fee compounds into the pool for the LP
-    assert abs(result.engine.vault.total_assets - U(10010)) <= 1
+    assert result.engine.vault.total_assets == U(10010)
 
 
 def test_cash_ledger_balances_to_zero(tmp_path):
@@ -167,6 +167,32 @@ def test_errors_recorded_and_run_continues(tmp_path):
     result = run_files(path)
     assert [r.status for r in result.receipts] == ["UnknownOrder", "ok"]
     assert not result.halted
+
+
+def test_a_failed_action_row_carries_the_ids_its_params_name(tmp_path):
+    """An engine error's row names the order and position the action's params
+    name; a row whose params fail to parse names none."""
+    path = build(
+        tmp_path,
+        trace_rows=both_feeds(0, 2000),
+        actions=[
+            act(0, "lp", "deposit", assets=10000),
+            act(0, "trader", "create_order", kind="market_open", direction="long",
+                size=1000, collateral=100, acceptable_price=1990, max_slippage=0),
+            act(0, "trader", "settle_order", order_id=1),       # fills at 2000
+            act(0, "trader", "cancel_order", order_id=42),
+            act(0, "trader", "create_order", kind="market_close", direction="long",
+                acceptable_price=2000, collateral=1, position_id=7),
+            act(0, "trader", "settle_order", order_id=True),    # not an id
+        ])
+    rows = [(r.action, r.status, r.order_id, r.position_id)
+            for r in run_files(path).receipts[2:]]
+    assert rows == [
+        ("settle_order", "SlippageExceeded", 1, None),
+        ("cancel_order", "UnknownOrder", 42, None),
+        ("create_order", "DomainError", None, 7),
+        ("settle_order", "ScenarioError", None, None),
+    ]
 
 
 def test_insolvent_vault_halts_with_partial_output(tmp_path):
@@ -365,7 +391,7 @@ def test_snapshot_computes_each_pool_value_once(monkeypatch):
                               acceptable_price=U(2000), max_slippage=U(1))
     engine.settle_order(oid, 0)
     expected = pool_metrics(engine.pool, engine.vault.total_assets, engine.config)
-    assert expected[1] == 30.0 and expected[2] > expected[3]   # a skewed pool
+    assert expected[1] == 30_000_000_000 and expected[2] > expected[3]   # a skewed pool
 
     utilization = count_calls(monkeypatch, perpamm.engine.utilization_pct)
     skew = count_calls(monkeypatch, perpamm.curves.compute_skew)
@@ -429,7 +455,7 @@ def test_the_runner_accrues_only_through_snapshots(tmp_path, monkeypatch):
     assert [s.time for s in result.snapshots] == list(range(0, 3001, 600))
     assert calls[0] == len(result.snapshots)
     indices = [s.cum_fee_index_long for s in result.snapshots]
-    assert indices == sorted(set(indices)) and indices[0] == 0.0
+    assert indices == sorted(set(indices)) and indices[0] == 0
 
 
 def test_amount_params_are_parsed_through_the_module_to_units(monkeypatch):
@@ -474,7 +500,7 @@ seq,time,actor,action,status,order_id,position_id,executed_price,open_close_fee,
 1,0,lp,deposit,ok,,,,,,,,10000.000000,-10000.000000
 2,0,trader,create_order,ok,1,,,,,,,,-100.000000
 3,0,trader,settle_order,ok,1,,2000.000000,1.000000,0.000000,0.000000,0.000000,,0.000000
-4,0,trader,settle_order,UnknownOrder,,,,,,,,,
+4,0,trader,settle_order,UnknownOrder,1,,,,,,,,
 5,0,trader,create_order,ok,2,,,,,,,,
 6,0,bob,create_order,ok,3,,,,,,,,-50.000000
 7,0,bob,cancel_order,ok,3,,,,,,,,50.000000
@@ -491,7 +517,7 @@ seq,time,actor,action,status,order_id,position_id,executed_price,open_close_fee,
 18,120,trader,settle_order,ok,6,,2050.000000,8.000000,0.000000,0.000000,0.000000,,0.000000
 19,180,trader,trigger_settle,UnknownPosition,4,1,,,,,,,
 20,180,trader,create_order,ok,7,,,,,,,,
-21,180,trader,settle_order,InsolventVault,,,,,,,,,
+21,180,trader,settle_order,InsolventVault,7,,,,,,,,
 """
 
 GOLDEN_SNAPSHOTS = """\

@@ -12,7 +12,12 @@ whose payout takes the whole pool. After every step it checks:
   that of the open positions (so `accrue_fees` never sees open interest in
   an empty pool);
 * the trigger book answers like a scan of every pending order;
-* a call that raises leaves the engine's fingerprint unchanged.
+* a call that raises leaves the engine's fingerprint unchanged;
+* borrow fees match an exact model: the machine integrates each side's rate
+  over time in `Fraction`s, and each index accrued to now equals that
+  integral, and each open position owes size * (integral now - integral at
+  its entry), rounded half-even;
+* every numeric field of the pool and of each position is an int.
 
 The market has zero price deviation, so a fill executes at the oracle mark
 and the draining close can be priced exactly.
@@ -28,9 +33,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from conftest import feed_both, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
-from perpamm.engine import Direction, OrderKind, accrue_fees, position_equity
+from perpamm.engine import Direction, OrderKind, accrue_fees, pool_metrics, position_equity
 from perpamm.errors import InsolventVault, ProtocolError
-from perpamm.money import pct_of, to_units
+from perpamm.money import FEE_INDEX_SCALE, SECONDS_PER_YEAR, pct_of, to_units
 from perpamm.oracle import PricePoint
 from test_engine import brute_force_triggers, fingerprint, probe_marks
 
@@ -88,8 +93,16 @@ class EngineMachine(RuleBasedStateMachine):
         self.price = U(2000)
         self.cash = {name: 0 for name in ("lp0", "lp1", "t0", "t1")}
         self.drained = False
+        # the exact fee model: per side, the integral of its annual rate (a
+        # Fraction of size) up to `model_time`, and the rates, in nanos of a
+        # percent, that hold from then on; the integral at each position's entry
+        self.model_time = 0
+        self.integral = {side: Fraction(0) for side in Direction}
+        self.rates = {side: 0 for side in Direction}
+        self.entry_integral: dict[int, Fraction] = {}
         feed_both(self.engine, self.price, self.now)
         self.deposit("lp0", U(20_000))
+        self.fees_match_the_exact_model()
 
     # -- helpers -------------------------------------------------------------
 
@@ -303,6 +316,43 @@ class EngineMachine(RuleBasedStateMachine):
         assert (engine.pool.long_oi, engine.pool.short_oi) == (longs, shorts)
         assert engine.pool.reserved == longs + shorts <= engine.vault.total_assets
         assert sum(engine.vault.balances.values()) == engine.vault.total_shares
+
+    @invariant()
+    def fees_match_the_exact_model(self):
+        """Each index accrued to now and each owed fee equal the exact model.
+
+        Idempotent at one time, so it may run more than once per step."""
+        engine = self.engine
+        years = Fraction(self.now - self.model_time, SECONDS_PER_YEAR)
+        for side in Direction:
+            self.integral[side] += Fraction(self.rates[side], 100 * 10**9) * years
+        self.model_time = self.now
+        # every call that changes the pool accrues first, so the rates of the
+        # pool as it is now hold until the next step
+        _, _, long_rate, short_rate = pool_metrics(engine.pool, engine.vault.total_assets,
+                                                   CONFIG)
+        self.rates = {Direction.LONG: long_rate, Direction.SHORT: short_rate}
+
+        pool = engine._accrued(self.now)
+        indices = {Direction.LONG: pool.cum_fee_index_long,
+                   Direction.SHORT: pool.cum_fee_index_short}
+        for side in Direction:
+            assert Fraction(indices[side], FEE_INDEX_SCALE) == self.integral[side]
+        # a position new since the last step opened now
+        self.entry_integral = {pid: self.entry_integral.get(pid, self.integral[pos.direction])
+                               for pid, pos in engine.positions.items()}
+        for pid, pos in engine.positions.items():
+            owed = pos.collateral - position_equity(pos, pool, pos.entry_price)  # pnl 0
+            assert owed == round(pos.size * (self.integral[pos.direction]
+                                             - self.entry_integral[pid]))
+
+    @invariant()
+    def pool_and_positions_hold_only_ints(self):
+        engine = self.engine
+        assert all(type(value) is int for value in engine.pool)
+        for pos in engine.positions.values():
+            assert all(type(value) is int for value in pos
+                       if not isinstance(value, (str, Direction)))
 
     @invariant()
     def trigger_book_matches_a_scan(self):
