@@ -12,7 +12,7 @@ import argparse
 import sys
 from decimal import Decimal, InvalidOperation
 
-from .config import load_market_config, read_json
+from .config import load_market_config, read_fields, read_json
 from .errors import InvalidGrid, ProtocolError
 from .figures import FIGURE_KINDS, Grid, emit_figure_data
 from .scenario import run_files, write_csv_atomic, write_outputs
@@ -61,31 +61,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INLINE_KEYS = (("price", "price"), ("kd", "k_delta"), ("cd", "c_d"),
-                ("kb", "k_b"), ("cb", "c_b"), ("m_max", "m_max"), ("k", "steepness"))
-_LIST_KEYS = {"k_delta", "k_b", "steepness"}
+def _number(value) -> Decimal:
+    try:
+        return Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"not a number: {value!r}") from None
+
+
+def _numbers(value) -> list[Decimal]:
+    return [_number(v) for v in (value if isinstance(value, list) else [value])]
+
+
+# (flag attribute, params key, the key's parser in a --params file); a key
+# whose flag repeats reads a list, or one number as a list of one
+_CURVE_PARAMS = (("price", "price", _number), ("kd", "k_delta", _numbers),
+                 ("cd", "c_d", _number), ("kb", "k_b", _numbers), ("cb", "c_b", _number),
+                 ("m_max", "m_max", _number), ("k", "steepness", _numbers))
+_PARAMS_FILE = {key: parse for _, key, parse in _CURVE_PARAMS}
 
 
 def _curve_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    inline = {target: getattr(args, attr) for attr, target in _INLINE_KEYS
+    inline = {key: getattr(args, attr) for attr, key, _ in _CURVE_PARAMS
               if getattr(args, attr) is not None}
     if args.params:
         if inline:
             parser.error("--params cannot be combined with inline parameter flags")
-        raw = read_json(args.params, InvalidGrid, "--params")
-        if not isinstance(raw, dict):
-            raise InvalidGrid("--params must hold a JSON object")
-        params = {}   # emit_figure_data rejects a key its kind does not read
-        try:
-            for key, value in raw.items():
-                if key in _LIST_KEYS:
-                    params[key] = [Decimal(str(v)) for v in (
-                        value if isinstance(value, list) else [value])]
-                else:
-                    params[key] = Decimal(str(value))
-        except InvalidOperation:
-            raise InvalidGrid(f"--params {key} is not a number: {value!r}") from None
-        return params
+        # emit_figure_data rejects a key its kind does not read, and a missing one
+        return read_fields(read_json(args.params, InvalidGrid, "--params"), _PARAMS_FILE,
+                           (), InvalidGrid, "--params")
     return inline
 
 

@@ -1,108 +1,115 @@
-"""Market configuration file loading and validation.
+"""Market configuration file loading and validation, and the one reader of
+every JSON input object.
 
-The file is a JSON object whose keys mirror the MarketConfig fields exactly;
-unknown or missing keys are load errors. Money, percent, and ratio values may
-be JSON numbers or strings and are parsed exactly (at most six fractional
-digits); curve coefficients are plain binary64 numbers.
+`read_fields` reads each JSON object that comes from outside: the market
+config and its four sections (here), the scenario's top level and each
+action's params (`scenario`), and the curve `--params` file (`cli`). An object's keys
+are strict: an unknown key, a missing required key or a value its parser
+rejects is one error naming the object and the key.
+
+The config is a JSON object whose keys mirror the MarketConfig fields
+exactly, each section's keys its class's fields. Money, percent, and ratio
+values may be JSON numbers or strings and are parsed exactly (at most six
+fractional digits); curve coefficients are plain binary64 numbers.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
+from dataclasses import fields
 from decimal import Decimal
 
 from .curves import BaseFeeParams, DeviationParams, DynamicFeeParams
 from .engine import MarketConfig
-from .errors import ConfigError, DomainError, ProtocolError
+from .errors import ConfigError, ProtocolError
 from .money import to_units
 from .oracle import OracleConfig
 
-_TOP_KEYS = {
-    "market_id", "deviation", "base_fee", "dynamic_fee",
-    "max_open_interest", "max_leverage", "max_exposure",
-    "maintenance_margin_rate", "open_close_fee_rate", "liquidation_fee_rate",
-    "oracle",
-}
-_DEVIATION_KEYS = {"k_delta", "c_d"}
-_BASE_FEE_KEYS = {"k_b", "c_b"}
-_DYNAMIC_FEE_KEYS = {"m_max", "steepness"}
-_ORACLE_KEYS = {"max_age", "min_acceptable_deviation", "threshold_deviation"}
 
+def read_fields(obj, parsers: dict[str, Callable], required: Iterable[str],
+                error: type[ProtocolError], where: str) -> dict:
+    """A JSON object's values, each through its key's parser, keyed as in `obj`.
 
-def _check_keys(obj: dict, expected: set[str], where: str) -> None:
+    A non-object, an unknown key, a value its parser rejects (ProtocolError or
+    ValueError) and a missing key of `required` are each one `error` naming
+    `where` and the key. An `error` the parser raises itself passes unchanged.
+    """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - expected)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-    missing = sorted(expected - set(obj))
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
+        raise error(f"{where} must be a JSON object")
+    values = {}
+    for key, value in obj.items():
+        try:
+            parse = parsers[key]
+        except KeyError:
+            raise error(f"{where}: unknown key {key!r}") from None
+        try:
+            values[key] = parse(value)
+        except error:
+            raise
+        except (ProtocolError, ValueError) as exc:
+            raise error(f"{where}: bad {key!r}: {exc}") from None
+    for key in required:
+        if key not in values:
+            raise error(f"{where}: missing key {key!r}")
+    return values
 
 
-def _coeff(obj: dict, key: str, where: str) -> float:
-    value = obj[key]
+def _coeff(value) -> float:
+    """A curve coefficient as a double; -0 reads as +0.0, as the engine's nanos do."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
-        raise ConfigError(f"{where}.{key} must be a number")
+        raise ValueError("must be a number")
     try:
-        return float(value)
+        return float(value) or 0.0
     except OverflowError:
-        raise ConfigError(f"{where}.{key} is too large for a float") from None
+        raise ValueError("is too large for a float") from None
 
 
-def _units(obj: dict, key: str, where: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be a number")
-    if isinstance(value, (int, Decimal, str)):
-        return to_units(value)
-    raise ConfigError(f"{where}.{key} must be a number or decimal string")
+def _units(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, Decimal, str)):
+        raise ValueError("must be a number or decimal string")
+    # reads the module's `to_units` at each call, so a patched one sees every parse
+    return to_units(value)
+
+
+def seconds(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError("must be a non-negative integer (seconds)")
+    return value
+
+
+def non_empty_string(value) -> str:
+    if not (isinstance(value, str) and value):
+        raise ValueError("must be a non-empty string")
+    return value
+
+
+def _section(where: str, cls: type, parsers: dict[str, Callable] | None = None) -> Callable:
+    """The parser of config section `where`: a `cls` from its keys, all required;
+    by default each of cls's fields is a curve coefficient."""
+    parsers = parsers or {field.name: _coeff for field in fields(cls)}
+    return lambda value: cls(**read_fields(value, parsers, parsers, ConfigError, where))
+
+
+# MarketConfig field -> its parser; every field is required
+_MARKET_CONFIG = {
+    "market_id": non_empty_string,
+    "deviation": _section("deviation", DeviationParams),
+    "base_fee": _section("base_fee", BaseFeeParams),
+    "dynamic_fee": _section("dynamic_fee", DynamicFeeParams),
+    **dict.fromkeys(("max_open_interest", "max_leverage", "max_exposure",
+                     "maintenance_margin_rate", "open_close_fee_rate",
+                     "liquidation_fee_rate"), _units),
+    "oracle": _section("oracle", OracleConfig, {
+        "max_age": seconds, "min_acceptable_deviation": _units,
+        "threshold_deviation": _units}),
+}
 
 
 def parse_market_config(raw: dict) -> MarketConfig:
     """Build a MarketConfig from parsed JSON; raises ConfigError on any defect."""
-    _check_keys(raw, _TOP_KEYS, "market config")
-    _check_keys(raw["deviation"], _DEVIATION_KEYS, "deviation")
-    _check_keys(raw["base_fee"], _BASE_FEE_KEYS, "base_fee")
-    _check_keys(raw["dynamic_fee"], _DYNAMIC_FEE_KEYS, "dynamic_fee")
-    _check_keys(raw["oracle"], _ORACLE_KEYS, "oracle")
-    if not isinstance(raw["market_id"], str) or not raw["market_id"]:
-        raise ConfigError("market_id must be a non-empty string")
-
-    try:
-        deviation = DeviationParams(
-            k_delta=_coeff(raw["deviation"], "k_delta", "deviation"),
-            c_d=_coeff(raw["deviation"], "c_d", "deviation"))
-        base_fee = BaseFeeParams(
-            k_b=_coeff(raw["base_fee"], "k_b", "base_fee"),
-            c_b=_coeff(raw["base_fee"], "c_b", "base_fee"))
-        dynamic_fee = DynamicFeeParams(
-            m_max=_coeff(raw["dynamic_fee"], "m_max", "dynamic_fee"),
-            steepness=_coeff(raw["dynamic_fee"], "steepness", "dynamic_fee"))
-        oracle_raw = raw["oracle"]
-        max_age = oracle_raw["max_age"]
-        if isinstance(max_age, bool) or not isinstance(max_age, int):
-            raise ConfigError("oracle.max_age must be an integer (seconds)")
-        oracle = OracleConfig(
-            max_age=max_age,
-            min_acceptable_deviation=_units(oracle_raw, "min_acceptable_deviation", "oracle"),
-            threshold_deviation=_units(oracle_raw, "threshold_deviation", "oracle"))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-
-    return MarketConfig(
-        market_id=raw["market_id"],
-        deviation=deviation,
-        base_fee=base_fee,
-        dynamic_fee=dynamic_fee,
-        max_open_interest=_units(raw, "max_open_interest", "market config"),
-        max_leverage=_units(raw, "max_leverage", "market config"),
-        max_exposure=_units(raw, "max_exposure", "market config"),
-        maintenance_margin_rate=_units(raw, "maintenance_margin_rate", "market config"),
-        open_close_fee_rate=_units(raw, "open_close_fee_rate", "market config"),
-        liquidation_fee_rate=_units(raw, "liquidation_fee_rate", "market config"),
-        oracle=oracle,
-    )
+    return MarketConfig(**read_fields(raw, _MARKET_CONFIG, _MARKET_CONFIG, ConfigError,
+                                      "market config"))
 
 
 def read_json(path: str, error: type[ProtocolError], what: str):

@@ -59,7 +59,6 @@ from .errors import (
     SlippageExceeded,
     StaleFeed,
     TriggerNotMet,
-    UnknownMarket,
     UnknownOrder,
     UnknownPosition,
 )
@@ -372,16 +371,15 @@ class Engine:
         max_slippage: int = 0,
         trigger_price: int = 0,
         position_id: int | None = None,
-        market_id: str | None = None,
     ) -> int:
-        if market_id is not None and market_id != self.config.market_id:
-            raise UnknownMarket(f"engine serves {self.config.market_id!r}, not {market_id!r}")
         if max_slippage < 0:
             raise DomainError("max_slippage must be >= 0")
         if kind in TRIGGER_KINDS:
             if trigger_price <= 0:
                 raise DomainError("trigger orders need a positive trigger_price")
-            if acceptable_price <= 0:
+            if acceptable_price < 0:
+                raise DomainError("acceptable_price must be >= 0 (0: the trigger price)")
+            if acceptable_price == 0:
                 acceptable_price = trigger_price
         else:
             if trigger_price:
@@ -400,6 +398,8 @@ class Engine:
         else:
             if collateral:
                 raise DomainError("close orders do not escrow collateral")
+            if size < 0:
+                raise DomainError("close size must be >= 0 (0: the whole position)")
             if position_id is None:
                 raise DomainError("close orders need a position_id")
         order_id = self._next_order_id

@@ -60,10 +60,6 @@ class DeviationTooHigh(ProtocolError):
 
 # -- Market engine -----------------------------------------------------------
 
-class UnknownMarket(ProtocolError):
-    """Order references a market the engine does not serve."""
-
-
 class UnknownOrder(ProtocolError):
     """No pending order with that id."""
 

@@ -111,9 +111,10 @@ def _one_or_more(params: dict, key: str) -> list[Decimal]:
 
 
 def _float(value) -> float:
-    """A Decimal parameter as a float. A signalling NaN, which float() refuses,
-    reads as NaN, so the params' finiteness check rejects both alike."""
-    return math.nan if Decimal(value).is_snan() else float(value)
+    """A Decimal parameter as a float; -0 reads as +0.0, as the engine's nanos do.
+    A signalling NaN, which float() refuses, reads as NaN, so the params'
+    finiteness check rejects both alike."""
+    return math.nan if Decimal(value).is_snan() else float(value) or 0.0
 
 
 def _labels(points: list[Decimal]) -> list[str]:

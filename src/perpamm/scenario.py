@@ -6,12 +6,13 @@ in a fixed order: price updates, trigger evaluation, explicit actions in
 declaration order, then a due snapshot; fees accrue inside the engine calls
 and the snapshot. Replaying identical inputs yields byte-identical outputs.
 
-A malformed scenario envelope (top-level keys, accounts, action time, actor
-and kind) stops the load with a ScenarioError. An action's params are
-checked against ACTION_PARAMS when the action runs: a missing, unknown or
-malformed param is a ScenarioError receipt and the run continues, as are
-engine errors. An InsolventVault error is fatal: the run halts after its
-row and that time's snapshot, with partial output flagged.
+`config.read_fields` reads the scenario's top-level object when it loads,
+and each action's params, against ACTION_PARAMS, when the action runs;
+`parse_scenario` checks each action entry (keys, time, actor and kind)
+itself. A malformed top level or entry stops the load with a ScenarioError.
+A missing, unknown or malformed param is a ScenarioError receipt and the run
+continues, as are engine errors. An InsolventVault error is fatal: the run
+halts after its row and that time's snapshot, with partial output flagged.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .config import load_market_config, read_json
+from .config import load_market_config, non_empty_string, read_fields, read_json, seconds
 from .engine import Direction, Engine, OrderKind
 from .errors import InsolventVault, NotLiquidatable, ProtocolError, ScenarioError
 from .money import (FEE_INDEX_SCALE, MAX_TIMESTAMP, div_round_half_even, format_nanos,
@@ -56,8 +57,6 @@ ACTION_PARAMS = {
 }
 ACTION_KINDS = frozenset(ACTION_PARAMS)
 
-_SCENARIO_KEYS = {"market_config", "price_trace", "actions", "snapshot_interval",
-                  "accounts", "primary_feed", "secondary_feed", "treasury_fee_share"}
 _ACTION_KEYS = {"time", "actor", "action", "params"}
 
 
@@ -163,27 +162,36 @@ def _unknown_keys(obj: dict, known: set[str]) -> str:
     return ", ".join(sorted(set(obj) - known))
 
 
-def parse_scenario(raw: dict) -> Scenario:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    if not raw.keys() <= _SCENARIO_KEYS:
-        raise ScenarioError(f"unknown scenario keys: {_unknown_keys(raw, _SCENARIO_KEYS)}")
-    for key in ("market_config", "price_trace", "actions", "snapshot_interval", "accounts"):
-        if key not in raw:
-            raise ScenarioError(f"missing scenario key: {key}")
-    interval = raw["snapshot_interval"]
-    if not (isinstance(interval, int) and not isinstance(interval, bool) and interval >= 0):
-        raise ScenarioError("snapshot_interval must be a non-negative integer (seconds)")
-    accounts = raw["accounts"]
-    if not (isinstance(accounts, list) and all(isinstance(a, str) for a in accounts)):
-        raise ScenarioError("accounts must be a list of account names")
-    account_set = set(accounts)
-    if not isinstance(raw["actions"], list):
-        raise ScenarioError("actions must be a list")
+def _accounts(value) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
+        raise ValueError("must be a list of account names")
+    return value
 
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError("must be a list")
+    return value
+
+
+# Scenario field -> the parser of its envelope key; each action entry is
+# checked in parse_scenario, against the accounts
+_ENVELOPE = {
+    "market_config": non_empty_string, "price_trace": non_empty_string,
+    "actions": _list, "snapshot_interval": seconds, "accounts": _accounts,
+    "primary_feed": non_empty_string, "secondary_feed": non_empty_string,
+    "treasury_fee_share": _amount,
+}
+_ENVELOPE_REQUIRED = ("market_config", "price_trace", "actions", "snapshot_interval",
+                      "accounts")
+
+
+def parse_scenario(raw: dict) -> Scenario:
+    values = read_fields(raw, _ENVELOPE, _ENVELOPE_REQUIRED, ScenarioError, "scenario")
+    account_set = set(values["accounts"])
     actions: list[Action] = []
     last_time = 0     # times are checked to be >= 0 first
-    for seq, entry in enumerate(raw["actions"]):
+    for seq, entry in enumerate(values["actions"]):
         if not isinstance(entry, dict):
             raise ScenarioError(f"action #{seq} must be an object")
         if not entry.keys() <= _ACTION_KEYS:
@@ -210,29 +218,8 @@ def parse_scenario(raw: dict) -> Scenario:
         if not isinstance(params, dict):
             raise ScenarioError(f"action #{seq}: params must be an object")
         actions.append(Action(seq, time, actor, kind, params))
-
-    def _feed(key: str, default: str) -> str:
-        value = raw.get(key, default)
-        if not (isinstance(value, str) and value):
-            raise ScenarioError(f"{key} must be a non-empty string")
-        return value
-
-    share = raw.get("treasury_fee_share", 0)
-    try:
-        share_units = to_units(share)
-    except ProtocolError:
-        raise ScenarioError(f"bad treasury_fee_share: {share!r}") from None
-
-    return Scenario(
-        market_config=str(raw["market_config"]),
-        price_trace=str(raw["price_trace"]),
-        actions=actions,
-        snapshot_interval=interval,
-        accounts=list(accounts),
-        primary_feed=_feed("primary_feed", "primary"),
-        secondary_feed=_feed("secondary_feed", "secondary"),
-        treasury_fee_share=share_units,
-    )
+    values["actions"] = actions
+    return Scenario(**values)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -240,24 +227,6 @@ def load_scenario(path: str) -> Scenario:
 
 
 # -- Action dispatch ---------------------------------------------------------------
-
-def _parse_params(action: Action) -> dict:
-    """The action's params as the engine takes them; a bad one is a ScenarioError."""
-    parsers, required = ACTION_PARAMS[action.kind]
-    params = {}
-    for key, value in action.params.items():
-        parse = parsers.get(key)
-        if parse is None:
-            raise ScenarioError(f"action #{action.seq}: unknown param {key!r}")
-        try:
-            params[key] = parse(value)
-        except (ProtocolError, ValueError) as exc:
-            raise ScenarioError(f"action #{action.seq}: bad {key!r}: {exc}") from None
-    for key in required:
-        if key not in params:
-            raise ScenarioError(f"action #{action.seq}: missing param {key!r}")
-    return params
-
 
 class _Halt(Exception):
     """Stops the run after an InsolventVault row; not a ProtocolError, so no
@@ -378,9 +347,11 @@ class _Runner:
 
     def _dispatch(self, action: Action) -> None:
         handler = getattr(self, f"_do_{action.kind}")
+        parsers, required = ACTION_PARAMS[action.kind]
         params = {}   # stays empty when parsing fails: the row then carries no ids
         try:
-            params = _parse_params(action)
+            params = read_fields(action.params, parsers, required, ScenarioError,
+                                 f"action #{action.seq}")
             handler(action, params)
         except ProtocolError as exc:
             self._failed(action.time, action.actor, action.kind, exc,

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from perpamm.curves import BaseFeeParams, DeviationParams, DynamicFeeParams
 from perpamm.engine import Engine, MarketConfig
@@ -10,6 +13,13 @@ from perpamm.money import to_units
 from perpamm.oracle import OracleConfig, PricePoint
 
 BIG = to_units(10**9)
+
+# Property tests draw the same examples on every run, so a suite run is
+# repeatable; PERPAMM_HYPOTHESIS=random searches afresh (and keeps the
+# example database) to look for new failures.
+settings.register_profile("repeatable", derandomize=True)
+settings.register_profile("random", derandomize=False)
+settings.load_profile(os.environ.get("PERPAMM_HYPOTHESIS", "repeatable"))
 
 
 def make_config(**overrides) -> MarketConfig:

@@ -324,3 +324,88 @@ def test_run_non_finite_or_huge_amount(tmp_path, capsys, where, literal, code):
         assert exit_code == 1
         assert len(err) == 1 and err[0].startswith(f"ERROR {code}: ")
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "dynamic_fee", "--k", "0.01", "--m-max", "-0"],
+    ["--kind", "base_fee", "--kb", "-0", "--cb", "-0"],
+])
+def test_curves_negative_zero_coefficient_prints_zero(tmp_path, flags):
+    out = tmp_path / "x.csv"
+    assert main(["curves", *flags, "--grid", "0:2:1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1:] for row in rows] == [["0.000000000"]] * 3
+
+
+DELETE = object()   # in a READER_ROWS row: the key is removed, not set
+
+# Every JSON object read from outside, each with an unknown key, a missing
+# required key and an ill-typed value: (file, the path to the key, the value
+# set there, the ERROR code). Each gives one ERROR line naming the key (the
+# path's last item); an action's params give a receipt with the code instead.
+READER_ROWS = [
+    ("market.json", ("zzz",), 1, "ConfigError"),
+    ("market.json", ("max_leverage",), DELETE, "ConfigError"),
+    ("market.json", ("market_id",), 5, "ConfigError"),
+    ("market.json", ("deviation", "slope"), 1, "ConfigError"),
+    ("market.json", ("deviation", "c_d"), DELETE, "ConfigError"),
+    ("market.json", ("deviation", "k_delta"), "0.0004", "ConfigError"),
+    ("market.json", ("base_fee", "kb"), 1, "ConfigError"),
+    ("market.json", ("base_fee", "k_b"), DELETE, "ConfigError"),
+    ("market.json", ("base_fee", "c_b"), True, "ConfigError"),
+    ("market.json", ("dynamic_fee", "k"), 1, "ConfigError"),
+    ("market.json", ("dynamic_fee", "steepness"), DELETE, "ConfigError"),
+    ("market.json", ("dynamic_fee", "m_max"), None, "ConfigError"),
+    ("market.json", ("oracle", "max_age_s"), 1, "ConfigError"),
+    ("market.json", ("oracle", "threshold_deviation"), DELETE, "ConfigError"),
+    ("market.json", ("oracle", "max_age"), "3600", "ConfigError"),
+    ("scenario.json", ("surprise",), 1, "ScenarioError"),
+    ("scenario.json", ("accounts",), DELETE, "ScenarioError"),
+    ("scenario.json", ("snapshot_interval",), -1, "ScenarioError"),
+    ("scenario.json", ("market_config",), 5, "ScenarioError"),
+    ("scenario.json", ("price_trace",), ["a"], "ScenarioError"),
+    ("scenario.json", ("actions", 0, "params", "zzz"), 1, None),
+    ("scenario.json", ("actions", 0, "params", "assets"), DELETE, None),
+    ("scenario.json", ("actions", 0, "params", "assets"), [1000], None),
+    ("params.json", ("zzz",), 1, "InvalidGrid"),
+    ("params.json", ("k_b",), DELETE, "InvalidGrid"),
+    ("params.json", ("k_b",), "abc", "InvalidGrid"),
+]
+
+
+@pytest.mark.parametrize("file, path, value, code", READER_ROWS, ids=[
+    "-".join([file.removesuffix(".json"), *map(str, path)])
+    + ("-deleted" if value is DELETE else f"={value!r}") for file, path, value, _ in READER_ROWS])
+def test_every_json_object_is_read_with_strict_keys(tmp_path, capsys, file, path, value, code):
+    scenario = build(tmp_path, trace_rows=both_feeds(0, 2000) + both_feeds(60, 2000),
+                     actions=[act(0, "lp", "deposit", assets=1000),
+                              act(60, "lp", "deposit", assets=1000)])
+    (tmp_path / "params.json").write_text(json.dumps({"k_b": 0.01, "c_b": 0}))
+    raw = json.loads((tmp_path / file).read_text())
+    *parents, key = path
+    obj = raw
+    for step in parents:
+        obj = obj[step]
+    if value is DELETE:
+        del obj[key]
+    else:
+        obj[key] = value
+    (tmp_path / file).write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    if file == "params.json":
+        exit_code = main(["curves", "--kind", "base_fee", "--params", str(tmp_path / file),
+                          "--grid", "0:1:1", "--out", str(out)])
+    else:   # explicit paths, so the scenario's own references are only read
+        exit_code = main(["run", "--config", str(tmp_path / "market.json"),
+                          "--trace", str(tmp_path / "trace.csv"),
+                          "--scenario", scenario, "--out-dir", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    if code is None:
+        assert exit_code == 0 and err == []
+        receipts = (out / "receipts.csv").read_text().splitlines()
+        assert [row.split(",")[4] for row in receipts[1:]] == ["ScenarioError", "ok"]
+    else:
+        assert exit_code == 1
+        assert len(err) == 1 and err[0].startswith(f"ERROR {code}: ")
+        assert key in err[0]
+        assert not out.exists()

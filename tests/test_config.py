@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -61,6 +62,16 @@ def test_missing_key_rejected(tmp_path):
         load_market_config(write(tmp_path, bad))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"deviation": {"k_delta": 0.0004, "c_d": 0, "slope": 1}}, "deviation: unknown key 'slope'"),
+    ({"open_close_fee_rate": "0.1234567"}, "more than 6 fractional digits: '0.1234567'"),
+])
+def test_section_and_amount_errors_reach_the_user_unwrapped(tmp_path, overrides, message):
+    with pytest.raises(ConfigError) as info:
+        load_market_config(write(tmp_path, dict(GOOD, **overrides)))
+    assert str(info.value) == message
+
+
 def test_too_fine_precision_rejected(tmp_path):
     bad = dict(GOOD, open_close_fee_rate="0.1234567")
     with pytest.raises(ConfigError):
@@ -75,6 +86,12 @@ def test_fraction_below_a_base_unit_rejected_at_any_length(tmp_path, amount):
     bad = dict(GOOD, open_close_fee_rate=amount)
     with pytest.raises(ConfigError, match="6 fractional digits"):
         load_market_config(write(tmp_path, bad))
+
+
+def test_negative_zero_coefficient_reads_as_positive_zero(tmp_path):
+    negative_zero = dict(GOOD, base_fee={"k_b": -0.0, "c_b": -0.0})
+    fee = load_market_config(write(tmp_path, negative_zero)).base_fee
+    assert math.copysign(1.0, fee.k_b) == math.copysign(1.0, fee.c_b) == 1.0
 
 
 def test_negative_curve_param_rejected(tmp_path):

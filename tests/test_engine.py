@@ -44,7 +44,6 @@ from perpamm.errors import (
     SlippageExceeded,
     StaleFeed,
     TriggerNotMet,
-    UnknownMarket,
     UnknownOrder,
     UnknownPosition,
     ZeroShareMint,
@@ -272,10 +271,6 @@ def test_close_for_missing_position_accepted_then_fails_at_settlement(engine):
 
 
 def test_create_order_validation(engine):
-    with pytest.raises(UnknownMarket):
-        engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
-                            size=U(10), collateral=U(10),
-                            acceptable_price=U(1), market_id="BTC-USD")
     with pytest.raises(DomainError):   # market order without acceptable price
         engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
                             size=U(10), collateral=U(10))
@@ -285,6 +280,22 @@ def test_create_order_validation(engine):
     with pytest.raises(DomainError):   # close order without position
         engine.create_order("t", OrderKind.MARKET_CLOSE, Direction.LONG,
                             acceptable_price=U(2000))
+
+
+@pytest.mark.parametrize("kind, fields", [
+    (OrderKind.MARKET_CLOSE, dict(size=-1, acceptable_price=U(2000), position_id=1)),
+    (OrderKind.STOP_LOSS, dict(size=-U(5), trigger_price=U(1900), position_id=1)),
+    (OrderKind.TAKE_PROFIT, dict(acceptable_price=-1, trigger_price=U(2100), position_id=1)),
+    (OrderKind.LIMIT_OPEN, dict(size=U(10), collateral=U(10), trigger_price=U(1900),
+                                acceptable_price=-U(1))),
+])
+def test_negative_close_size_or_trigger_acceptable_price_rejected(engine, kind, fields):
+    """0 means the whole position or the trigger price; below 0 means nothing, and a
+    negative stop-loss size used to rest in the book and fail every trigger pass."""
+    with pytest.raises(DomainError):
+        engine.create_order("t", kind, Direction.LONG, **fields)
+    assert not engine.orders and not engine.escrow
+    assert engine.evaluate_triggers(U(1)) == engine.evaluate_triggers(U(10**6)) == []
 
 
 def test_cancel_refunds_escrow(engine):
