@@ -13,7 +13,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 
 from .config import load_market_config, read_fields, read_json
-from .errors import InvalidGrid, ProtocolError
+from .errors import InsolventVault, InvalidGrid, ProtocolError
 from .figures import FIGURE_KINDS, Grid, emit_figure_data
 from .scenario import run_files, write_csv_atomic, write_outputs
 
@@ -105,19 +105,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_outputs(result, args.out_dir, inputs={
         "config": args.config, "trace": args.trace, "scenario": args.scenario})
     if result.halted:
-        print("ERROR InsolventVault: scenario halted; partial output flagged "
-              "in manifest.json", file=sys.stderr)
-        return 1
+        raise InsolventVault("scenario halted; partial output flagged in manifest.json")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = load_market_config(args.config)
-    violations = config.violations()
-    if violations:
-        for violation in violations:
-            print(f"violation: {violation}")
-        return 1
+    load_market_config(args.config)
     print("OK")
     return 0
 

@@ -1,4 +1,4 @@
-"""Market configuration file loading and validation, and the one reader of
+"""The market config, its file reader and its checks, and the one reader of
 every JSON input object.
 
 `read_fields` reads each JSON object that comes from outside: the market
@@ -10,21 +10,53 @@ rejects is one error naming the object and the key.
 The config is a JSON object whose keys mirror the MarketConfig fields
 exactly, each section's keys its class's fields. Money, percent, and ratio
 values may be JSON numbers or strings and are parsed exactly (at most six
-fractional digits); curve coefficients are plain binary64 numbers.
+fractional digits); curve coefficients are plain binary64 numbers. A
+MarketConfig and each of its sections check their own limits when built, so
+a config that loads is sound, and every defect is one ConfigError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Iterable
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from decimal import Decimal
 
 from .curves import BaseFeeParams, DeviationParams, DynamicFeeParams
-from .engine import MarketConfig
 from .errors import ConfigError, ProtocolError
-from .money import to_units
+from .money import UNIT_SCALE, to_units
 from .oracle import OracleConfig
+
+
+@dataclass(frozen=True)
+class MarketConfig:
+    market_id: str
+    deviation: DeviationParams
+    base_fee: BaseFeeParams
+    dynamic_fee: DynamicFeeParams
+    max_open_interest: int        # base units, per side
+    max_leverage: int             # ratio, base units
+    max_exposure: int             # base units, cap on |L - S|
+    maintenance_margin_rate: int  # percent of size, base units
+    open_close_fee_rate: int      # percent of size, base units
+    liquidation_fee_rate: int     # percent of remaining equity, base units
+    oracle: OracleConfig
+
+    def __post_init__(self) -> None:
+        """Raises one ConfigError listing every violated limit."""
+        bad: list[str] = []
+        if self.max_leverage < UNIT_SCALE:
+            bad.append("max_leverage must be >= 1")
+        for name in ("max_open_interest", "max_exposure", "maintenance_margin_rate",
+                     "open_close_fee_rate", "liquidation_fee_rate"):
+            if getattr(self, name) < 0:
+                bad.append(f"{name} must be >= 0")
+        # a fresh max-leverage position must not be instantly liquidatable
+        if self.maintenance_margin_rate * self.max_leverage >= 100 * UNIT_SCALE * UNIT_SCALE:
+            bad.append("maintenance_margin_rate * max_leverage must be < 100")
+        if bad:
+            raise ConfigError("invalid market config: " + "; ".join(bad))
 
 
 def read_fields(obj, parsers: dict[str, Callable], required: Iterable[str],
@@ -55,10 +87,14 @@ def read_fields(obj, parsers: dict[str, Callable], required: Iterable[str],
     return values
 
 
-def _coeff(value) -> float:
-    """A curve coefficient as a double; -0 reads as +0.0, as the engine's nanos do."""
+def coefficient(value) -> float:
+    """A curve coefficient (an int or Decimal) as a double; -0 reads as +0.0, as
+    the engine's nanos do. A signalling NaN, which float() refuses, reads as
+    NaN, so the params' finiteness check rejects both alike."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise ValueError("must be a number")
+    if isinstance(value, Decimal) and value.is_snan():
+        return math.nan
     try:
         return float(value) or 0.0
     except OverflowError:
@@ -66,10 +102,14 @@ def _coeff(value) -> float:
 
 
 def _units(value) -> int:
+    """An amount in base units; its defect is a ValueError, which the reader
+    reports naming the key."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal, str)):
         raise ValueError("must be a number or decimal string")
-    # reads the module's `to_units` at each call, so a patched one sees every parse
-    return to_units(value)
+    try:   # reads the module's `to_units` at each call, so a patched one sees every parse
+        return to_units(value)
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def seconds(value) -> int:
@@ -87,7 +127,7 @@ def non_empty_string(value) -> str:
 def _section(where: str, cls: type, parsers: dict[str, Callable] | None = None) -> Callable:
     """The parser of config section `where`: a `cls` from its keys, all required;
     by default each of cls's fields is a curve coefficient."""
-    parsers = parsers or {field.name: _coeff for field in fields(cls)}
+    parsers = parsers or {field.name: coefficient for field in fields(cls)}
     return lambda value: cls(**read_fields(value, parsers, parsers, ConfigError, where))
 
 
@@ -127,6 +167,6 @@ def read_json(path: str, error: type[ProtocolError], what: str):
 
 
 def load_market_config(path: str) -> MarketConfig:
-    """Load and parse a market config file; invariants are NOT checked here
-    (see MarketConfig.violations for the validate command)."""
+    """Load, parse and check a market config file; any defect, a violated
+    limit included, is one ConfigError."""
     return parse_market_config(read_json(path, ConfigError, "config"))

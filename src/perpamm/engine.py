@@ -1,12 +1,14 @@
 """Protocol state machine: orders, positions, fee accrual, liquidation.
 
-One engine serves one market backed by one LP vault: the pool value *is*
-the vault's total assets, and `reserved` is the gross notional of open
-positions, so utilization = reserved / vault assets. The engine holds the
-rest of the pool once, as the immutable `Engine.pool` (a NamedTuple, as are
-positions, orders and settlement receipts): open interest per side, the two
-fee indices and the last accrual time; `reserved` is derived from the open
-interest, never stored.
+One engine serves one market backed by one LP vault. Its `MarketConfig`
+(from `config`) checked its own limits when it was built, so the engine does
+not check them again. The pool value *is* the vault's total assets, and
+`reserved` is the gross notional of open positions, so utilization =
+reserved / vault assets. The engine holds the rest of the pool once, as the
+immutable `Engine.pool` (a NamedTuple, as are positions, orders and
+settlement receipts): open interest per side, the two fee indices and the
+last accrual time; `reserved` is derived from the open interest, never
+stored.
 
 All monetary state is integer base units (1e-6). Borrow fees accrue lazily
 through per-side cumulative indices: each entry point that reads or changes
@@ -34,18 +36,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .curves import (
-    BaseFeeParams,
-    DeviationParams,
-    DynamicFeeParams,
-    compute_skew,
-    quote_prices_units,
-    total_borrow_rates,
-)
+from .config import MarketConfig
+from .curves import compute_skew, quote_prices_units, total_borrow_rates
 from .errors import (
     ClockRegression,
     DomainError,
@@ -68,7 +63,7 @@ from .money import (
     div_round_half_even,
     pct_of,
 )
-from .oracle import FeedStore, OracleConfig, TradeSide, aggregate
+from .oracle import FeedStore, TradeSide, aggregate
 from .vault import VaultState
 
 
@@ -87,35 +82,6 @@ class OrderKind(enum.Enum):
 
 OPEN_KINDS = frozenset({OrderKind.MARKET_OPEN, OrderKind.LIMIT_OPEN})
 TRIGGER_KINDS = frozenset({OrderKind.LIMIT_OPEN, OrderKind.STOP_LOSS, OrderKind.TAKE_PROFIT})
-
-
-@dataclass(frozen=True)
-class MarketConfig:
-    market_id: str
-    deviation: DeviationParams
-    base_fee: BaseFeeParams
-    dynamic_fee: DynamicFeeParams
-    max_open_interest: int        # base units, per side
-    max_leverage: int             # ratio, base units
-    max_exposure: int             # base units, cap on |L - S|
-    maintenance_margin_rate: int  # percent of size, base units
-    open_close_fee_rate: int      # percent of size, base units
-    liquidation_fee_rate: int     # percent of remaining equity, base units
-    oracle: OracleConfig
-
-    def violations(self) -> list[str]:
-        """All invariant violations, empty when the config is sound."""
-        out: list[str] = []
-        if self.max_leverage < UNIT_SCALE:
-            out.append("max_leverage must be >= 1")
-        for name in ("max_open_interest", "max_exposure", "maintenance_margin_rate",
-                     "open_close_fee_rate", "liquidation_fee_rate"):
-            if getattr(self, name) < 0:
-                out.append(f"{name} must be >= 0")
-        # a fresh max-leverage position must not be instantly liquidatable
-        if self.maintenance_margin_rate * self.max_leverage >= 100 * UNIT_SCALE * UNIT_SCALE:
-            out.append("maintenance_margin_rate * max_leverage must be < 100")
-        return out
 
 
 class PoolState(NamedTuple):
@@ -288,9 +254,6 @@ class Engine:
         primary_feed: str = "primary",
         secondary_feed: str = "secondary",
     ) -> None:
-        bad = config.violations()
-        if bad:
-            raise DomainError("invalid market config: " + "; ".join(bad))
         if not 0 <= treasury_fee_share <= 100 * UNIT_SCALE:
             raise DomainError("treasury_fee_share must be within [0, 100]%")
         self.config = config

@@ -15,12 +15,12 @@ quantizing it first, so the files are stable golden artifacts.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation
 from itertools import repeat
 
+from .config import coefficient
 from .curves import (
     BaseFeeParams,
     DeviationParams,
@@ -110,13 +110,6 @@ def _one_or_more(params: dict, key: str) -> list[Decimal]:
     return list(values)
 
 
-def _float(value) -> float:
-    """A Decimal parameter as a float; -0 reads as +0.0, as the engine's nanos do.
-    A signalling NaN, which float() refuses, reads as NaN, so the params'
-    finiteness check rejects both alike."""
-    return math.nan if Decimal(value).is_snan() else float(value) or 0.0
-
-
 def _labels(points: list[Decimal]) -> list[str]:
     return [format(point, "f") for point in points]
 
@@ -127,17 +120,18 @@ _PRICE_CONTEXT = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 def _deviation_price(params: dict, grid: Grid) -> FigureTable:
     price = Decimal(params.get("price", 0))
-    if not price.is_finite() or price <= 0:
+    try:   # the price in integer 1e-9 units, rounded half-even once; NaN and ±inf read as 0
+        price_nanos = int(price.quantize(Decimal("1e-9"), context=_PRICE_CONTEXT).scaleb(
+            9, context=_PRICE_CONTEXT)) if price.is_finite() else 0
+    except InvalidOperation:
+        raise DomainError(f"{price:.6g} has no 9-digit fixed-point value") from None
+    if price_nanos <= 0:   # after rounding, so a price that rounds to 0 is refused too
         raise InvalidGrid("deviation_price needs a positive, finite oracle price")
     k_deltas = _one_or_more(params, "k_delta")
     if len(k_deltas) != 1:
         raise InvalidGrid("deviation_price takes exactly one k_delta")
-    p = DeviationParams(k_delta=_float(k_deltas[0]), c_d=_float(params.get("c_d", 0)))
-    try:   # the price in integer 1e-9 units, rounded half-even once
-        price_nanos = int(price.quantize(Decimal("1e-9"), context=_PRICE_CONTEXT).scaleb(
-            9, context=_PRICE_CONTEXT))
-    except InvalidOperation:
-        raise DomainError(f"{price:.6g} has no 9-digit fixed-point value") from None
+    p = DeviationParams(k_delta=coefficient(k_deltas[0]),
+                        c_d=coefficient(params.get("c_d", 0)))
     price_text = format_nanos(price_nanos)
     points = grid.points()
     quotes = map(quote_nanos, repeat(price_nanos), map(float, points), repeat(p))
@@ -157,9 +151,9 @@ def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_ke
     which checks each (coefficient, constant) pair; ``check`` is the curve's
     domain check on x.
     """
-    const = _float(params.get(const_key, 0))
+    const = coefficient(params.get(const_key, 0))
     coefficients = _one_or_more(params, key)
-    ks = [_float(c) for c in coefficients]
+    ks = [coefficient(c) for c in coefficients]
     for k in ks:
         params_type(**{key: k, const_key: const})
     points = grid.points()

@@ -9,7 +9,8 @@ and the snapshot. Replaying identical inputs yields byte-identical outputs.
 `config.read_fields` reads the scenario's top-level object when it loads,
 and each action's params, against ACTION_PARAMS, when the action runs;
 `parse_scenario` checks each action entry (keys, time, actor and kind)
-itself. A malformed top level or entry stops the load with a ScenarioError.
+itself, in the reader's message forms. A malformed top level or entry stops
+the load with a ScenarioError.
 A missing, unknown or malformed param is a ScenarioError receipt and the run
 continues, as are engine errors. An InsolventVault error is fatal: the run
 halts after its row and that time's snapshot, with partial output flagged.
@@ -158,10 +159,6 @@ class RunResult:
 
 # -- Scenario loading -----------------------------------------------------------
 
-def _unknown_keys(obj: dict, known: set[str]) -> str:
-    return ", ".join(sorted(set(obj) - known))
-
-
 def _accounts(value) -> list[str]:
     if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
         raise ValueError("must be a list of account names")
@@ -195,28 +192,28 @@ def parse_scenario(raw: dict) -> Scenario:
         if not isinstance(entry, dict):
             raise ScenarioError(f"action #{seq} must be an object")
         if not entry.keys() <= _ACTION_KEYS:
-            raise ScenarioError(
-                f"action #{seq}: unknown keys {_unknown_keys(entry, _ACTION_KEYS)}")
+            unknown = next(key for key in entry if key not in _ACTION_KEYS)
+            raise ScenarioError(f"action #{seq}: unknown key {unknown!r}")
         for key in ("time", "actor", "action"):
             if key not in entry:
-                raise ScenarioError(f"action #{seq}: missing {key}")
+                raise ScenarioError(f"action #{seq}: missing key {key!r}")
         time = entry["time"]
         if not (isinstance(time, int) and not isinstance(time, bool)
                 and 0 <= time <= MAX_TIMESTAMP):
             raise ScenarioError(
-                f"action #{seq}: time must be an integer in [0, {MAX_TIMESTAMP}]")
+                f"action #{seq}: bad 'time': must be an integer in [0, {MAX_TIMESTAMP}]")
         if time < last_time:
             raise ScenarioError(f"action #{seq}: actions must be sorted by time")
         last_time = time
         actor = entry["actor"]
         if not (isinstance(actor, str) and actor in account_set):
-            raise ScenarioError(f"action #{seq}: undefined account {actor!r}")
+            raise ScenarioError(f"action #{seq}: bad 'actor': undefined account {actor!r}")
         kind = entry["action"]
         if not (isinstance(kind, str) and kind in ACTION_KINDS):
-            raise ScenarioError(f"action #{seq}: unknown action {kind!r}")
+            raise ScenarioError(f"action #{seq}: bad 'action': unknown action {kind!r}")
         params = entry.get("params", {})
         if not isinstance(params, dict):
-            raise ScenarioError(f"action #{seq}: params must be an object")
+            raise ScenarioError(f"action #{seq}: bad 'params': must be an object")
         actions.append(Action(seq, time, actor, kind, params))
     values["actions"] = actions
     return Scenario(**values)

@@ -43,6 +43,15 @@ def make_config(**overrides) -> MarketConfig:
     return MarketConfig(**fields)
 
 
+def ledger_sum(cash: dict[str, int], engine: Engine) -> int:
+    """Every account's cash plus all the engine holds: escrow, open collateral,
+    vault assets and treasury. Every flow moves money between these, so the sum
+    stays where it started (0 when the accounts start with no cash)."""
+    return (sum(cash.values()) + sum(engine.escrow.values())
+            + engine.open_collateral_total() + engine.vault.total_assets
+            + engine.treasury)
+
+
 def make_engine(config: MarketConfig | None = None, **kw) -> Engine:
     return Engine(config if config is not None else make_config(), **kw)
 

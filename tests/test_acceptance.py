@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_config, make_engine
+from conftest import ledger_sum, make_config, make_engine
 from perpamm.cli import main
 from perpamm.curves import BaseFeeParams, eval_base_fee, eval_deviation
 from perpamm.engine import (
@@ -266,9 +266,7 @@ def test_criterion_06_conservation_scenario(tmp_path):
         settlements = sum(1 for r in result.receipts if r.status == "ok"
                           and r.action in ("settle_order", "trigger_settle",
                                            "liquidate_check"))
-        drift = (sum(result.cash.values()) + sum(engine.escrow.values())
-                 + engine.open_collateral_total() + engine.vault.total_assets
-                 + engine.treasury)
+        drift = ledger_sum(result.cash, engine)
         assert abs(drift) <= settlements     # <= 1 base unit per settlement
         for snap in result.snapshots:
             assert snap.reserved == snap.long_oi + snap.short_oi

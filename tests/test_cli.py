@@ -109,6 +109,28 @@ def test_curves_non_finite_or_overflowing_input_is_one_error_line(
     assert not out.exists()
 
 
+# a price is rounded half-even to nanos once, and the rounded price must be positive
+@pytest.mark.parametrize("price, printed", [
+    ("0.0000000004", None),
+    ("0.0000000005", None),      # a tie, to the even 0
+    ("0.000000001", "0.000000001"),
+])
+def test_curves_deviation_price_rounds_to_a_positive_price(tmp_path, capsys, price, printed):
+    out = tmp_path / "x.csv"
+    code = main(["curves", "--kind", "deviation_price", "--price", price, "--kd", "0.0001",
+                 "--cd", "0", "--grid", "0:100:50", "--out", str(out)])
+    err = capsys.readouterr().err
+    if printed is None:
+        assert code == 1
+        assert err == ("ERROR InvalidGrid: deviation_price needs a positive, finite "
+                       "oracle price\n")
+        assert not out.exists()
+    else:
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == [printed] * 3
+
+
 @pytest.mark.parametrize("kind, flags", [
     ("base_fee", ["--kb", "0.01"]),
     ("deviation_pct", ["--kd", "0.01"]),
@@ -147,13 +169,74 @@ def test_validate_good_and_bad_configs(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(FRICTIONLESS))
     assert main(["validate", "--config", str(good)]) == 0
-    assert "OK" in capsys.readouterr().out
+    assert capsys.readouterr().out == "OK\n"
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(FRICTIONLESS, max_leverage=0)))
     assert main(["validate", "--config", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "max_leverage" in out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ERROR ConfigError: invalid market config: "
+                            "max_leverage must be >= 1\n")
+
+
+# (config overrides, every limit the config breaks, in the order the error lists them)
+LIMIT_ROWS = [
+    ({"max_leverage": 0}, ["max_leverage must be >= 1"]),
+    ({"max_exposure": -1}, ["max_exposure must be >= 0"]),
+    ({"maintenance_margin_rate": 2, "max_leverage": 50},
+     ["maintenance_margin_rate * max_leverage must be < 100"]),
+    # a leverage below 1 with a margin rate large enough that the product reaches 100
+    ({"max_leverage": "0.5", "max_exposure": -1, "maintenance_margin_rate": 200},
+     ["max_leverage must be >= 1", "max_exposure must be >= 0",
+      "maintenance_margin_rate * max_leverage must be < 100"]),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "run-missing-trace"])
+@pytest.mark.parametrize("overrides, limits", LIMIT_ROWS,
+                         ids=["leverage", "exposure", "margin-times-leverage", "all-three"])
+def test_config_limits_are_one_config_error_line(tmp_path, capsys, command, overrides, limits):
+    scenario = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[],
+                     config=dict(FRICTIONLESS, **overrides))
+    out_dir = tmp_path / "out"
+    if command == "validate":
+        argv = ["validate", "--config", str(tmp_path / "market.json")]
+    else:   # the config is read, and refused, before the trace is opened
+        trace = tmp_path / ("nope.csv" if command == "run-missing-trace" else "trace.csv")
+        argv = ["run", "--config", str(tmp_path / "market.json"), "--trace", str(trace),
+                "--scenario", scenario, "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR ConfigError: invalid market config: {'; '.join(limits)}\n"
+    assert not out_dir.exists()
+
+
+def test_run_halted_is_one_insolvent_vault_line_after_the_outputs(tmp_path, capsys):
+    scenario = build(
+        tmp_path, trace_rows=both_feeds(0, 2000) + both_feeds(60, 9000),
+        actions=[
+            act(0, "lp", "deposit", assets=300),
+            act(0, "trader", "create_order", kind="market_open", direction="long",
+                size=100, collateral=100, acceptable_price=2000, max_slippage=1),
+            act(0, "trader", "settle_order", order_id=1),
+            # pnl +350 exceeds the pool: fatal
+            act(60, "trader", "create_order", kind="market_close", direction="long",
+                acceptable_price=9000, max_slippage=5, position_id=1),
+            act(60, "trader", "settle_order", order_id=2),
+        ])
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "market.json"),
+                 "--trace", str(tmp_path / "trace.csv"),
+                 "--scenario", scenario, "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ERROR InsolventVault: scenario halted; partial output "
+                            "flagged in manifest.json\n")
+    assert json.loads((out_dir / "manifest.json").read_text())["halted"] is True
+    receipts = (out_dir / "receipts.csv").read_text().splitlines()
+    assert receipts[-1].split(",")[3:5] == ["settle_order", "InsolventVault"]
 
 
 def test_validate_unknown_key_reports_config_error(tmp_path, capsys):

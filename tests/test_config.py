@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_load_good_config(tmp_path):
     assert config.max_leverage == to_units(10)
     assert config.open_close_fee_rate == to_units("0.1")
     assert config.oracle.max_age == 60
-    assert config.violations() == []
+    assert replace(config) == config   # rebuilding it checks its limits again
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -64,7 +65,13 @@ def test_missing_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("overrides, message", [
     ({"deviation": {"k_delta": 0.0004, "c_d": 0, "slope": 1}}, "deviation: unknown key 'slope'"),
-    ({"open_close_fee_rate": "0.1234567"}, "more than 6 fractional digits: '0.1234567'"),
+    # the id keeps the message before amount errors named their key
+    pytest.param({"open_close_fee_rate": "0.1234567"},
+                 "market config: bad 'open_close_fee_rate': more than 6 fractional digits: "
+                 "'0.1234567'", id="overrides1-more than 6 fractional digits: '0.1234567'"),
+    pytest.param({"oracle": dict(GOOD["oracle"], min_acceptable_deviation="0.1234567")},
+                 "oracle: bad 'min_acceptable_deviation': more than 6 fractional digits: "
+                 "'0.1234567'", id="oracle-amount"),
 ])
 def test_section_and_amount_errors_reach_the_user_unwrapped(tmp_path, overrides, message):
     with pytest.raises(ConfigError) as info:
@@ -108,11 +115,14 @@ def test_bad_oracle_bands_rejected(tmp_path):
 
 
 def test_violations_listed_for_bad_limits(tmp_path):
-    config = load_market_config(write(tmp_path, dict(GOOD, max_leverage=0)))
-    assert any("max_leverage" in v for v in config.violations())
-    config = load_market_config(write(tmp_path, dict(
-        GOOD, max_leverage=50, maintenance_margin_rate=2)))
-    assert any("maintenance_margin_rate" in v for v in config.violations())
+    with pytest.raises(ConfigError) as info:
+        load_market_config(write(tmp_path, dict(GOOD, max_leverage=0)))
+    assert str(info.value) == "invalid market config: max_leverage must be >= 1"
+    with pytest.raises(ConfigError) as info:
+        load_market_config(write(tmp_path, dict(
+            GOOD, max_leverage=50, maintenance_margin_rate=2)))
+    assert str(info.value) == ("invalid market config: "
+                               "maintenance_margin_rate * max_leverage must be < 100")
 
 
 def test_missing_file_and_bad_json(tmp_path):

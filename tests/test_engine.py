@@ -31,6 +31,7 @@ from perpamm.engine import (
 )
 from perpamm.errors import (
     ClockRegression,
+    ConfigError,
     DeviationTooHigh,
     DomainError,
     ExposureCapExceeded,
@@ -1026,7 +1027,8 @@ def test_engine_accrue_rejects_clock_regression(engine):
 
 
 def test_engine_rejects_invalid_config():
-    with pytest.raises(DomainError):
+    # no engine gets an unsound config: building the config raises
+    with pytest.raises(ConfigError, match="invalid market config: max_leverage must be >= 1"):
         make_engine(make_config(max_leverage=0))
 
 

@@ -10,7 +10,7 @@ import pytest
 import perpamm.curves
 import perpamm.engine
 import perpamm.scenario
-from conftest import feed_both, make_config, make_engine
+from conftest import feed_both, ledger_sum, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, pool_metrics
 from perpamm.errors import ScenarioError
@@ -118,11 +118,7 @@ def test_cash_ledger_balances_to_zero(tmp_path):
         ])
     result = run_files(path)
     assert all(r.status == "ok" for r in result.receipts)
-    engine = result.engine
-    total = (sum(result.cash.values()) + sum(engine.escrow.values())
-             + engine.open_collateral_total() + engine.vault.total_assets
-             + engine.treasury)
-    assert total == 0
+    assert ledger_sum(result.cash, result.engine) == 0
     # trader pocketed the 50-unit gain, pool paid it
     assert result.cash["trader"] == U(50)
 
@@ -633,24 +629,39 @@ def test_loader_rejects_unhashable_actor_or_kind(tmp_path, key):
 DEPOSIT = {"time": 0, "actor": "lp", "action": "deposit", "params": {"assets": 1}}
 
 
+BAD_TIME = f"must be an integer in [0, {MAX_TIMESTAMP}]"
+
+
+# a restated row keeps its id, which spells the message the entry checks gave
+# before they took the reader's forms
 @pytest.mark.parametrize("actions, message", [
     ([7], "action #0 must be an object"),
     ([DEPOSIT, ["lp"]], "action #1 must be an object"),
-    ([dict(DEPOSIT, zeta=1, alpha=2)], "action #0: unknown keys alpha, zeta"),
-    ([{"actor": "lp", "action": "deposit"}], "action #0: missing time"),
-    ([{"time": 0, "action": "deposit"}], "action #0: missing actor"),
-    ([{"time": 0, "actor": "lp"}], "action #0: missing action"),
-    ([dict(DEPOSIT, time=True)], f"action #0: time must be an integer in [0, {MAX_TIMESTAMP}]"),
-    ([dict(DEPOSIT, time=-1)], f"action #0: time must be an integer in [0, {MAX_TIMESTAMP}]"),
-    ([dict(DEPOSIT, time=1.0)], f"action #0: time must be an integer in [0, {MAX_TIMESTAMP}]"),
-    ([dict(DEPOSIT, time=MAX_TIMESTAMP + 1)],
-     f"action #0: time must be an integer in [0, {MAX_TIMESTAMP}]"),
+    pytest.param([dict(DEPOSIT, zeta=1, alpha=2)], "action #0: unknown key 'zeta'",
+                 id="actions2-action #0: unknown keys alpha, zeta"),
+    pytest.param([{"actor": "lp", "action": "deposit"}], "action #0: missing key 'time'",
+                 id="actions3-action #0: missing time"),
+    pytest.param([{"time": 0, "action": "deposit"}], "action #0: missing key 'actor'",
+                 id="actions4-action #0: missing actor"),
+    pytest.param([{"time": 0, "actor": "lp"}], "action #0: missing key 'action'",
+                 id="actions5-action #0: missing action"),
+    *(pytest.param([dict(DEPOSIT, time=time)], f"action #0: bad 'time': {BAD_TIME}",
+                   id=f"actions{row}-action #0: time {BAD_TIME}")
+      for row, time in enumerate((True, -1, 1.0, MAX_TIMESTAMP + 1), start=6)),
     ([dict(DEPOSIT, time=60), DEPOSIT], "action #1: actions must be sorted by time"),
-    ([dict(DEPOSIT, actor="ghost")], "action #0: undefined account 'ghost'"),
-    ([dict(DEPOSIT, actor=["lp"])], "action #0: undefined account ['lp']"),
-    ([dict(DEPOSIT, action="teleport")], "action #0: unknown action 'teleport'"),
-    ([dict(DEPOSIT, action=None)], "action #0: unknown action None"),
-    ([dict(DEPOSIT, params=[])], "action #0: params must be an object"),
+    pytest.param([dict(DEPOSIT, actor="ghost")],
+                 "action #0: bad 'actor': undefined account 'ghost'",
+                 id="actions11-action #0: undefined account 'ghost'"),
+    pytest.param([dict(DEPOSIT, actor=["lp"])],
+                 "action #0: bad 'actor': undefined account ['lp']",
+                 id="actions12-action #0: undefined account ['lp']"),
+    pytest.param([dict(DEPOSIT, action="teleport")],
+                 "action #0: bad 'action': unknown action 'teleport'",
+                 id="actions13-action #0: unknown action 'teleport'"),
+    pytest.param([dict(DEPOSIT, action=None)], "action #0: bad 'action': unknown action None",
+                 id="actions14-action #0: unknown action None"),
+    pytest.param([dict(DEPOSIT, params=[])], "action #0: bad 'params': must be an object",
+                 id="actions15-action #0: params must be an object"),
 ])
 def test_parse_scenario_action_messages(actions, message):
     raw = {"market_config": "m.json", "price_trace": "t.csv", "snapshot_interval": 0,

@@ -31,7 +31,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import feed_both, make_config, make_engine
+from conftest import feed_both, ledger_sum, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, accrue_fees, pool_metrics, position_equity
 from perpamm.errors import InsolventVault, ProtocolError
@@ -301,10 +301,7 @@ class EngineMachine(RuleBasedStateMachine):
     @invariant()
     def conserved(self):
         # every flow splits an integer amount, so the sum is exact
-        engine = self.engine
-        assert (sum(self.cash.values()) + sum(engine.escrow.values())
-                + engine.open_collateral_total() + engine.vault.total_assets
-                + engine.treasury) == 0
+        assert ledger_sum(self.cash, self.engine) == 0
 
     @invariant()
     def reserved_is_open_interest_within_the_pool(self):
