@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal, InvalidOperation
 
-from .config import load_market_config, read_fields, read_json
+from .config import load_market_config, read_json
 from .errors import InsolventVault, InvalidGrid, ProtocolError
 from .figures import FIGURE_KINDS, Grid, emit_figure_data
 from .scenario import run_files, write_csv_atomic, write_outputs
-
-
-def _decimal(text: str) -> Decimal:
-    try:
-        return Decimal(text)
-    except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a decimal: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,15 +30,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="inclusive range lo:hi:step (decimals)")
     curves.add_argument("--out", required=True, help="output CSV path")
     curves.add_argument("--params", help="JSON file with curve parameters")
-    curves.add_argument("--price", type=_decimal, help="oracle price (deviation_price)")
-    curves.add_argument("--kd", type=_decimal, action="append",
+    curves.add_argument("--price", help="oracle price (deviation_price)")
+    curves.add_argument("--kd", action="append",
                         help="deviation coefficient (repeatable)")
-    curves.add_argument("--cd", type=_decimal, help="deviation constant")
-    curves.add_argument("--kb", type=_decimal, action="append",
+    curves.add_argument("--cd", help="deviation constant")
+    curves.add_argument("--kb", action="append",
                         help="base fee coefficient (repeatable)")
-    curves.add_argument("--cb", type=_decimal, help="base fee constant")
-    curves.add_argument("--m-max", type=_decimal, help="maximum dynamic fee")
-    curves.add_argument("--k", type=_decimal, action="append",
+    curves.add_argument("--cb", help="base fee constant")
+    curves.add_argument("--m-max", help="maximum dynamic fee")
+    curves.add_argument("--k", action="append",
                         help="sigmoid steepness (repeatable)")
 
     run_p = sub.add_parser("run", help="run a scenario and write CSV outputs")
@@ -61,34 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _number(value) -> Decimal:
-    try:
-        return Decimal(str(value))
-    except InvalidOperation:
-        raise ValueError(f"not a number: {value!r}") from None
+# flag attribute -> the curve-table params key it sets; a repeated flag gives a list
+_CURVE_PARAMS = {"price": "price", "kd": "k_delta", "cd": "c_d", "kb": "k_b", "cb": "c_b",
+                 "m_max": "m_max", "k": "steepness"}
 
 
-def _numbers(value) -> list[Decimal]:
-    return [_number(v) for v in (value if isinstance(value, list) else [value])]
-
-
-# (flag attribute, params key, the key's parser in a --params file); a key
-# whose flag repeats reads a list, or one number as a list of one
-_CURVE_PARAMS = (("price", "price", _number), ("kd", "k_delta", _numbers),
-                 ("cd", "c_d", _number), ("kb", "k_b", _numbers), ("cb", "c_b", _number),
-                 ("m_max", "m_max", _number), ("k", "steepness", _numbers))
-_PARAMS_FILE = {key: parse for _, key, parse in _CURVE_PARAMS}
-
-
-def _curve_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    inline = {key: getattr(args, attr) for attr, key, _ in _CURVE_PARAMS
+def _curve_params(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """The flags' params, or the raw --params object: emit_figure_data reads either."""
+    inline = {key: getattr(args, attr) for attr, key in _CURVE_PARAMS.items()
               if getattr(args, attr) is not None}
     if args.params:
         if inline:
             parser.error("--params cannot be combined with inline parameter flags")
-        # emit_figure_data rejects a key its kind does not read, and a missing one
-        return read_fields(read_json(args.params, InvalidGrid, "--params"), _PARAMS_FILE,
-                           (), InvalidGrid, "--params")
+        return read_json(args.params, InvalidGrid, "--params")
     return inline
 
 

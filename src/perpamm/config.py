@@ -3,7 +3,7 @@ every JSON input object.
 
 `read_fields` reads each JSON object that comes from outside: the market
 config and its four sections (here), the scenario's top level and each
-action's params (`scenario`), and the curve `--params` file (`cli`). An object's keys
+action's params (`scenario`), and a curve table's params (`figures`). An object's keys
 are strict: an unknown key, a missing required key or a value its parser
 rejects is one error naming the object and the key.
 
@@ -102,10 +102,8 @@ def coefficient(value) -> float:
 
 
 def _units(value) -> int:
-    """An amount in base units; its defect is a ValueError, which the reader
-    reports naming the key."""
-    if isinstance(value, bool) or not isinstance(value, (int, Decimal, str)):
-        raise ValueError("must be a number or decimal string")
+    """An amount in base units, by `to_units`, which owns the amount rules; its
+    defect is a ValueError, which the reader reports naming the key."""
     try:   # reads the module's `to_units` at each call, so a patched one sees every parse
         return to_units(value)
     except ConfigError as exc:

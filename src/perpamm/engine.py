@@ -245,7 +245,8 @@ def trigger_met(kind: OrderKind, direction: Direction, trigger_price: int,
 # -- The engine ----------------------------------------------------------------
 
 class Engine:
-    """Single-market, single-writer protocol engine."""
+    """Single-market, single-writer protocol engine; it trusts its config and its
+    treasury_fee_share (in [0, 100]%) as their readers checked them."""
 
     def __init__(
         self,
@@ -254,8 +255,6 @@ class Engine:
         primary_feed: str = "primary",
         secondary_feed: str = "secondary",
     ) -> None:
-        if not 0 <= treasury_fee_share <= 100 * UNIT_SCALE:
-            raise DomainError("treasury_fee_share must be within [0, 100]%")
         self.config = config
         self.vault = VaultState()
         self.feeds = FeedStore()

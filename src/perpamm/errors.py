@@ -46,10 +46,6 @@ class InvalidGrid(ProtocolError):
 
 # -- Oracle ------------------------------------------------------------------
 
-class FeedError(ProtocolError):
-    """Rejected price point (non-positive price)."""
-
-
 class StaleFeed(ProtocolError):
     """A required feed is missing or older than the configured max age."""
 

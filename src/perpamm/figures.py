@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation
 from itertools import repeat
 
-from .config import coefficient
+from .config import coefficient, read_fields
 from .curves import (
     BaseFeeParams,
     DeviationParams,
@@ -81,33 +81,37 @@ class FigureTable:
 
 
 def emit_figure_data(kind: str, params: dict, grid: Grid) -> FigureTable:
-    """Build the table for one figure kind.
+    """Build the table for one figure kind; `read_fields` reads ``params`` (flags
+    or a --params object) against ``FIGURE_PARAMS[kind]``. Coefficients stay
+    Decimals, so column labels keep their literal spelling. Keys by kind,
+    the required ones first:
 
-    ``params`` keys by kind (coefficient lists are Decimals so column labels
-    keep their literal spelling); a key the kind does not read is an error:
-
-    * deviation_price: price, k_delta (exactly one), c_d
-    * deviation_pct:   k_delta (one or more), c_d
-    * base_fee:        k_b (one or more), c_b
-    * dynamic_fee:     steepness (one or more), m_max
+    * deviation_price: k_delta (exactly one), price; c_d
+    * deviation_pct:   k_delta (one or more); c_d
+    * base_fee:        k_b (one or more); c_b
+    * dynamic_fee:     steepness (one or more); m_max
     """
-    reads = FIGURE_PARAMS.get(kind)
-    if reads is None:
-        raise InvalidGrid(f"unknown figure kind {kind!r}")
-    unread = sorted(params.keys() - reads)
-    if unread:
-        raise InvalidGrid(f"{kind} does not read {', '.join(unread)}; "
-                          f"it reads {', '.join(sorted(reads))}")
+    try:
+        parsers, required = FIGURE_PARAMS[kind]
+    except KeyError:
+        raise InvalidGrid(f"unknown figure kind {kind!r}") from None
+    params = read_fields(params, parsers, required, InvalidGrid, f"{kind} params")
     if kind == "deviation_price":
         return _deviation_price(params, grid)
     return _coefficient_table(params, grid, *_COEFFICIENT_TABLES[kind])
 
 
-def _one_or_more(params: dict, key: str) -> list[Decimal]:
-    values = params.get(key)
-    if not values:
-        raise InvalidGrid(f"figure needs at least one {key} value")
-    return list(values)
+def _number(value) -> Decimal:
+    try:
+        return Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"not a number: {value!r}") from None
+
+
+def _numbers(value) -> list[Decimal]:
+    if value == []:
+        raise ValueError("must be a number or a non-empty list")
+    return [_number(v) for v in (value if isinstance(value, list) else [value])]
 
 
 def _labels(points: list[Decimal]) -> list[str]:
@@ -119,7 +123,7 @@ _PRICE_CONTEXT = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 
 def _deviation_price(params: dict, grid: Grid) -> FigureTable:
-    price = Decimal(params.get("price", 0))
+    price = params["price"]
     try:   # the price in integer 1e-9 units, rounded half-even once; NaN and ±inf read as 0
         price_nanos = int(price.quantize(Decimal("1e-9"), context=_PRICE_CONTEXT).scaleb(
             9, context=_PRICE_CONTEXT)) if price.is_finite() else 0
@@ -127,7 +131,7 @@ def _deviation_price(params: dict, grid: Grid) -> FigureTable:
         raise DomainError(f"{price:.6g} has no 9-digit fixed-point value") from None
     if price_nanos <= 0:   # after rounding, so a price that rounds to 0 is refused too
         raise InvalidGrid("deviation_price needs a positive, finite oracle price")
-    k_deltas = _one_or_more(params, "k_delta")
+    k_deltas = params["k_delta"]
     if len(k_deltas) != 1:
         raise InvalidGrid("deviation_price takes exactly one k_delta")
     p = DeviationParams(k_delta=coefficient(k_deltas[0]),
@@ -152,7 +156,7 @@ def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_ke
     domain check on x.
     """
     const = coefficient(params.get(const_key, 0))
-    coefficients = _one_or_more(params, key)
+    coefficients = params[key]
     ks = [coefficient(c) for c in coefficients]
     for k in ks:
         params_type(**{key: k, const_key: const})
@@ -175,9 +179,11 @@ _COEFFICIENT_TABLES = {
     "dynamic_fee": ("market_skew", "steepness", "m_max", "dynamic_fee_k_",
                     DynamicFeeParams, check_skew, sigmoid),
 }
-# the params keys each figure kind reads
+# figure kind -> (a parser per params key, the keys it requires), as scenario.ACTION_PARAMS
 FIGURE_PARAMS = {
-    "deviation_price": frozenset({"price", "k_delta", "c_d"}),
-    **{kind: frozenset(args[1:3]) for kind, args in _COEFFICIENT_TABLES.items()},
+    "deviation_price": ({"k_delta": _numbers, "price": _number, "c_d": _number},
+                        ("k_delta", "price")),
+    **{kind: ({key: _numbers, const_key: _number}, (key,))
+       for kind, (_, key, const_key, *_) in _COEFFICIENT_TABLES.items()},
 }
 FIGURE_KINDS = tuple(FIGURE_PARAMS)

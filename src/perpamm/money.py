@@ -9,7 +9,8 @@ Utilization, skew, deviation and rates are int counts of 1e-9 percent
 ("nanos"); a binary64 curve output becomes one through its own correctly
 rounded ``.9f`` digits, round-half-even (:func:`nanos9`). ``Decimal`` only
 parses input amounts that are not plain decimal strings (:func:`to_units`):
-Decimals, floats and the other spellings ``Decimal`` accepts, such as ``"1e3"``.
+Decimals and the other spellings ``Decimal`` accepts, such as ``"1e3"``; a
+float, which only a JSON ``NaN`` or ``Infinity`` gives, is not an amount.
 """
 
 from __future__ import annotations
@@ -107,16 +108,16 @@ def to_units(value) -> int:
     """Convert a decimal-like value to integer base units.
 
     Strings and Decimals convert exactly and must not carry more than six
-    fractional digits; floats are rounded half-even at the 1e-6 tick.
-    Non-finite values and amounts beyond +/-MAX_UNITS are a ConfigError.
-    Plain decimal strings are parsed with int() and every other string with
-    Decimal; either way the result or error is the one Decimal alone gives.
+    fractional digits; any type but int, str and Decimal (a bool, a float)
+    is a ConfigError, as are non-finite values and amounts beyond
+    +/-MAX_UNITS. Plain decimal strings are parsed with int() and every other
+    string with Decimal; either way the result or error is Decimal's.
     """
     if isinstance(value, str):
         units = _plain_units(value)
         if units is not None:
             return units
-    elif isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
+    elif isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise ConfigError(f"not a numeric amount: {_shown(value)}")
     elif isinstance(value, int):
         if abs(value) > _MAX_WHOLE:
@@ -132,8 +133,6 @@ def to_units(value) -> int:
     if amount.copy_abs() > _MAX_WHOLE_DEC:
         raise _beyond(value)
     scaled = _EXACT.multiply(amount, UNIT_SCALE)
-    if isinstance(value, float):
-        return int(scaled.to_integral_value(rounding=decimal.ROUND_HALF_EVEN))
     if scaled != scaled.to_integral_value():
         raise _too_fine(value)
     return int(scaled)

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DeviationTooHigh, DomainError, FeedError, StaleFeed, TraceError
+from .errors import DeviationTooHigh, DomainError, StaleFeed, TraceError
 from .money import MAX_TIMESTAMP, UNIT_SCALE, to_units
 
 TRACE_HEADER = ["timestamp", "feed_id", "price"]
@@ -34,23 +34,12 @@ class TradeSide(enum.Enum):
     SELL = "sell"
 
 
-class _PricePointFields(NamedTuple):
+class PricePoint(NamedTuple):
+    """One published price; `load_trace`, the one reader of points, checks it."""
+
     feed_id: str
     price: int          # base units, > 0
-    publish_time: int   # seconds since epoch
-
-
-class PricePoint(_PricePointFields):
-    """One published price, checked in __new__, which a NamedTuple body may not define."""
-
-    __slots__ = ()
-
-    def __new__(cls, feed_id: str, price: int, publish_time: int) -> PricePoint:
-        if price <= 0:
-            raise FeedError(f"non-positive price for feed {feed_id!r}")
-        if publish_time < 0:
-            raise FeedError(f"negative publish time for feed {feed_id!r}")
-        return tuple.__new__(cls, (feed_id, price, publish_time))
+    publish_time: int   # seconds since epoch, >= 0
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,8 @@ def aggregate(
 # -- Trace loading -------------------------------------------------------------
 
 def load_trace(path: str) -> list[PricePoint]:
-    """Parse a `timestamp,feed_id,price` CSV; timestamps must be nondecreasing."""
+    """Parse a `timestamp,feed_id,price` CSV of positive prices; timestamps must
+    be nondecreasing and within [0, MAX_TIMESTAMP]. A defect is one TraceError."""
     points: list[PricePoint] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -149,10 +139,11 @@ def load_trace(path: str) -> list[PricePoint]:
                     price = to_units(row[2])
                 except Exception:
                     raise TraceError(f"line {lineno}: bad price {row[2]!r}") from None
-                try:
-                    points.append(PricePoint(row[1], price, ts))
-                except FeedError as exc:
-                    raise TraceError(f"line {lineno}: {exc}") from None
+                if price <= 0:
+                    raise TraceError(f"line {lineno}: non-positive price for feed {row[1]!r}")
+                if ts < 0:
+                    raise TraceError(f"line {lineno}: negative publish time for feed {row[1]!r}")
+                points.append(PricePoint(row[1], price, ts))
         except UnicodeDecodeError as exc:
             raise TraceError(f"trace is not valid text: {exc}") from None
         except csv.Error as exc:    # a field past csv's size limit, a NUL byte, ...

@@ -27,14 +27,21 @@ from typing import NamedTuple
 from .config import load_market_config, non_empty_string, read_fields, read_json, seconds
 from .engine import Direction, Engine, OrderKind
 from .errors import InsolventVault, NotLiquidatable, ProtocolError, ScenarioError
-from .money import (FEE_INDEX_SCALE, MAX_TIMESTAMP, div_round_half_even, format_nanos,
-                    format_units, to_units)
+from .money import (FEE_INDEX_SCALE, MAX_TIMESTAMP, UNIT_SCALE, div_round_half_even,
+                    format_nanos, format_units, to_units)
 from .oracle import PricePoint, load_trace
 
 
 def _amount(value) -> int:
     # reads the module's `to_units` at each call, so a patched one sees every parse
     return to_units(value)
+
+
+def _share(value) -> int:
+    share = to_units(value)
+    if not 0 <= share <= 100 * UNIT_SCALE:
+        raise ValueError("must be within [0, 100]%")
+    return share
 
 
 def _id(value) -> int:
@@ -177,7 +184,7 @@ _ENVELOPE = {
     "market_config": non_empty_string, "price_trace": non_empty_string,
     "actions": _list, "snapshot_interval": seconds, "accounts": _accounts,
     "primary_feed": non_empty_string, "secondary_feed": non_empty_string,
-    "treasury_fee_share": _amount,
+    "treasury_fee_share": _share,
 }
 _ENVELOPE_REQUIRED = ("market_config", "price_trace", "actions", "snapshot_interval",
                       "accounts")

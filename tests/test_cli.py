@@ -492,3 +492,95 @@ def test_every_json_object_is_read_with_strict_keys(tmp_path, capsys, file, path
         assert len(err) == 1 and err[0].startswith(f"ERROR {code}: ")
         assert key in err[0]
         assert not out.exists()
+
+
+# One owner per input rule. Each row is one defect, given through every input
+# that can carry it (curve flags, a --params file, a market config, an action's
+# params), and the one ERROR line each gives; None: a ScenarioError receipt,
+# and the run goes on.
+ONE_READER_ROWS = [
+    pytest.param("base_fee", {"flags": ["--cd", "1"], "params": {"c_d": 1}},
+                 "ERROR InvalidGrid: base_fee params: unknown key 'c_d'",
+                 id="flag-of-another-kind"),
+    pytest.param("base_fee", {"params": {"k_b": 1, "zzz": 1}},
+                 "ERROR InvalidGrid: base_fee params: unknown key 'zzz'", id="unknown-key"),
+    pytest.param("base_fee", {"params": {"k_b": 1, "cb": 1}},
+                 "ERROR InvalidGrid: base_fee params: unknown key 'cb'", id="misspelt-key"),
+    pytest.param("base_fee", {"flags": ["--cb", "1"], "params": {"c_b": 1}},
+                 "ERROR InvalidGrid: base_fee params: missing key 'k_b'",
+                 id="missing-coefficient"),
+    pytest.param("base_fee", {"flags": ["--kb", "abc"], "params": {"k_b": "abc"}},
+                 "ERROR InvalidGrid: base_fee params: bad 'k_b': not a number: 'abc'",
+                 id="not-a-number"),
+    pytest.param("base_fee", {"params": {"k_b": []}},
+                 "ERROR InvalidGrid: base_fee params: bad 'k_b': "
+                 "must be a number or a non-empty list", id="empty-list"),
+    pytest.param("deviation_price", {"flags": ["--kd", "0.0004"],
+                                     "params": {"k_delta": 0.0004}},
+                 "ERROR InvalidGrid: deviation_price params: missing key 'price'",
+                 id="deviation-price-without-price"),
+    pytest.param("deviation_price", {"flags": ["--price", "2000", "--kd", "1", "--kd", "2"],
+                                     "params": {"price": 2000, "k_delta": [1, 2]}},
+                 "ERROR InvalidGrid: deviation_price takes exactly one k_delta",
+                 id="deviation-price-two-k-delta"),
+    pytest.param("run", {"config": {"max_leverage": True}},
+                 "ERROR ConfigError: market config: bad 'max_leverage': "
+                 "not a numeric amount: True", id="config-amount-true"),
+    pytest.param("run", {"action": {"assets": float("nan")}}, None, id="action-amount-nan"),
+]
+
+
+def one_reader_argvs(tmp_path, kind, inputs, out):
+    """Each way `inputs` reaches a reader: (what, argv)."""
+    if kind != "run":
+        grid = ["--grid", "0:100:50", "--out", str(out)]
+        if "flags" in inputs:
+            yield "flags", ["curves", "--kind", kind, *inputs["flags"], *grid]
+        (tmp_path / "params.json").write_text(json.dumps(inputs["params"]))
+        yield "params", ["curves", "--kind", kind, "--params",
+                         str(tmp_path / "params.json"), *grid]
+        return
+    scenario = build(tmp_path, config=dict(FRICTIONLESS, **inputs.get("config", {})),
+                     trace_rows=both_feeds(0, 2000) + both_feeds(60, 2000),
+                     actions=[act(0, "lp", "deposit", **inputs.get("action", {})),
+                              act(60, "lp", "deposit", assets=1000)])
+    yield "run", ["run", "--config", str(tmp_path / "market.json"),
+                  "--trace", str(tmp_path / "trace.csv"), "--scenario", scenario,
+                  "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("kind, inputs, line", ONE_READER_ROWS)
+def test_one_reader_gives_one_line_for_each_input_defect(tmp_path, capsys, kind, inputs,
+                                                          line):
+    out = tmp_path / "out"
+    for what, argv in one_reader_argvs(tmp_path, kind, inputs, out):
+        exit_code = main(argv)
+        err = capsys.readouterr().err
+        if line is None:
+            assert (exit_code, err) == (0, "")
+            receipts = (out / "receipts.csv").read_text().splitlines()
+            assert [row.split(",")[4] for row in receipts[1:]] == ["ScenarioError", "ok"]
+        else:
+            assert (exit_code, err) == (1, line + "\n"), what
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("trace", ["trace.csv", "missing.csv"])
+@pytest.mark.parametrize("share", [150, -1, 0, 100])
+def test_treasury_fee_share_range_is_checked_when_the_scenario_is_read(
+        tmp_path, capsys, share, trace):
+    scenario = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[],
+                     extra={"treasury_fee_share": share})
+    out_dir = tmp_path / "out"
+    exit_code = main(["run", "--config", str(tmp_path / "market.json"),
+                      "--trace", str(tmp_path / trace), "--scenario", scenario,
+                      "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    if 0 <= share <= 100 and trace == "trace.csv":
+        assert (exit_code, err) == (0, "")
+    elif 0 <= share <= 100:   # the scenario is read, then the trace is missing
+        assert exit_code == 1 and err.startswith("ERROR IOError: ")
+    else:
+        assert (exit_code, err) == (1, "ERROR ScenarioError: scenario: bad "
+                                       "'treasury_fee_share': must be within [0, 100]%\n")
+        assert not out_dir.exists()

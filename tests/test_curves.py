@@ -93,9 +93,9 @@ def test_curve_params_reject_non_finite(make, bad):
 # -- Quotes ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("u,expected", [
-    (0, (2000.0, 2000.0)),
-    (50, (2020.0, 1980.0)),
-    (100, (2080.0, 1920.0)),
+    (0, (2000, 2000)),
+    (50, (2020, 1980)),
+    (100, (2080, 1920)),
 ])
 def test_quotes_at_constant_oracle_price(u, expected):
     assert quote_prices_units(to_units(2000), u, DeviationParams(0.0004, 0.0)) == tuple(

@@ -63,8 +63,8 @@ def test_checker_finds_module_imports():
     assert not imports_module("import decimals\nfrom .decimal import x\n", "decimal")
 
 
-# Decimal parses input (money.to_units for Decimals, floats and strings that are
-# not plain decimals, JSON fractions, the CLI, figure grids and prices); the engine,
+# Decimal parses input (money.to_units for Decimals and strings that are not
+# plain decimals, JSON fractions, the CLI, figure grids and prices); the engine,
 # the curves, the oracle and the vault compute in ints (and binary64 inside the
 # raw curves).
 @pytest.mark.parametrize("name", ["engine.py", "curves.py", "oracle.py", "vault.py"])

@@ -148,7 +148,8 @@ def test_format_units_matches_decimal(units):
     (10**24 + 1, "beyond"),
     ("1e25", "beyond"),
     ("Infinity", "finite"),
-    (float("nan"), "finite"),
+    # a JSON NaN, the one float an input holds, is not an amount
+    pytest.param(float("nan"), "not a numeric", id="nan-finite"),
     ("abc", "not a decimal"),
     (True, "not a numeric"),
     ("0.0000001", "6 fractional digits"),

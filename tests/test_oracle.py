@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from perpamm.errors import DeviationTooHigh, DomainError, FeedError, StaleFeed, TraceError
+from perpamm.errors import DeviationTooHigh, DomainError, StaleFeed, TraceError
 from perpamm.money import MAX_TIMESTAMP, to_units
 from perpamm.oracle import (
     FeedStore,
@@ -44,11 +44,12 @@ def test_older_point_is_ignored():
     assert store.get("A").publish_time == 20
 
 
-def test_non_positive_price_rejected():
-    with pytest.raises(FeedError):
-        PricePoint("A", 0, 10)
-    with pytest.raises(FeedError):
-        PricePoint("A", -5, 10)
+def test_non_positive_price_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    for price in ("0", "-5"):
+        path.write_text(f"timestamp,feed_id,price\n10,A,{price}\n")
+        with pytest.raises(TraceError, match="non-positive price for feed 'A'"):
+            load_trace(str(path))
 
 
 def test_oracle_config_validation():

@@ -71,6 +71,8 @@ MOVE = st.sampled_from([-40, 40, -80, 80, -15, 15, 1500, -1, 1, 0])
 REDEEM = st.sampled_from([Fraction(1, 3), Fraction(1), None])
 # secondary feed deviation from the primary, in 0.01%: 0.1% and 1% are the band edges
 BAND = st.sampled_from([0, 5, 10, 11, 50, 100, 101, 300])
+# a clock step in seconds; 3601 passes max_age, so a step without a publish leaves the feeds stale
+DT = st.sampled_from([0, 1, 60, 3600, 3601, 86_400, 30 * 86_400])
 
 
 def shifted(price: int, tenths_pct: int) -> int:
@@ -253,8 +255,7 @@ class EngineMachine(RuleBasedStateMachine):
         self.engine.feeds.ingest(PricePoint(
             "secondary", self.price + gap if above else max(self.price - gap, 1), self.now))
 
-    @rule(dt=st.sampled_from([0, 1, 60, 3600, 3601, 86_400, 30 * 86_400]),
-          publish=st.booleans(), move=MOVE)
+    @rule(dt=DT, publish=st.booleans(), move=MOVE)
     def advance(self, dt, publish, move):
         """Step the clock, then publish a moved price on both feeds; without a
         publish, a step past max_age leaves the feeds stale."""
