@@ -23,8 +23,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 from decimal import Decimal
 
-from .curves import BaseFeeParams, DeviationParams, DynamicFeeParams
-from .errors import ConfigError, ProtocolError
+from .curves import (BaseFeeParams, DeviationParams, DynamicFeeParams, eval_base_fee,
+                     eval_dynamic_fee)
+from .errors import ConfigError, DomainError, ProtocolError
 from .money import UNIT_SCALE, to_units
 from .oracle import OracleConfig
 
@@ -55,6 +56,14 @@ class MarketConfig:
         # a fresh max-leverage position must not be instantly liquidatable
         if self.maintenance_margin_rate * self.max_leverage >= 100 * UNIT_SCALE * UNIT_SCALE:
             bad.append("maintenance_margin_rate * max_leverage must be < 100")
+        # utilization and skew never pass 100% (|L - S| <= reserved <= pool value)
+        # and both fee curves are nondecreasing, so a fee curve with a 9-digit
+        # value at 100% has one wherever the engine reads it
+        for name, curve in (("base_fee", eval_base_fee), ("dynamic_fee", eval_dynamic_fee)):
+            try:
+                curve(100.0, getattr(self, name))
+            except DomainError as exc:
+                bad.append(f"{name} at 100%: {exc}")
         if bad:
             raise ConfigError("invalid market config: " + "; ".join(bad))
 

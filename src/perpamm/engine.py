@@ -20,9 +20,9 @@ gives the same index. A position owes, half-even, size * (index_now -
 index_at_entry) / FEE_INDEX_SCALE when it closes.
 
 Utilization, skew and both borrow rates read only (long OI, short OI, pool
-value), so the engine computes them once per change of that triple
-(`Engine.metrics`, a one-entry memo of `pool_metrics`); accrual and
-snapshots at an unchanged pool reuse the last result.
+value); `pool_metrics` computes them for an accrual over dt > 0 and for a
+snapshot. A liquidation moves neither the fee indices nor the marks that a
+position's health reads, so `Engine.liquidatable` decides a sweep at once.
 
 Every mutating method is atomic by construction: it builds the next pool
 (fees accrued, open interest moved), the fees and the vault's net flow in
@@ -43,6 +43,7 @@ from .config import MarketConfig
 from .curves import compute_skew, quote_prices_units, total_borrow_rates
 from .errors import (
     ClockRegression,
+    DeviationTooHigh,
     DomainError,
     ExposureCapExceeded,
     InsolventVault,
@@ -154,16 +155,15 @@ def pool_metrics(pool: PoolState, pool_value: int,
 
 
 def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
-                now: int, metrics=pool_metrics) -> PoolState:
+                now: int) -> PoolState:
     """Roll both cumulative fee indices forward to `now`.
 
     Each index grows by its side's rate (nanos of a percent, evaluated once
     at the pre-accrual state) times dt, in ints, so accruing [t0, t2] equals
     accruing [t0, t1] then [t1, t2] exactly when nothing else changes in
-    between. At dt == 0 the same pool object comes back. `metrics` is
-    `pool_metrics` or an engine's memo of it (`Engine.metrics`). An empty
-    pool accrues at zero rates; the engine keeps reserved <= pool value, so
-    it holds no open interest then.
+    between. At dt == 0 the same pool object comes back and no rate is
+    evaluated. An empty pool accrues at zero rates; the engine keeps
+    reserved <= pool value, so it holds no open interest then.
     """
     if now < pool.last_accrual_time:
         raise ClockRegression(
@@ -171,7 +171,7 @@ def accrue_fees(pool: PoolState, pool_value: int, cfg: MarketConfig,
     dt = now - pool.last_accrual_time
     if dt == 0:
         return pool
-    _, _, rate_long, rate_short = metrics(pool, pool_value, cfg)
+    _, _, rate_long, rate_short = pool_metrics(pool, pool_value, cfg)
     return PoolState(pool.long_oi, pool.short_oi,
                      pool.cum_fee_index_long + rate_long * dt,
                      pool.cum_fee_index_short + rate_short * dt, now)
@@ -273,35 +273,17 @@ class Engine:
         self._fires_above: list[tuple[int, int]] = []
         self._next_order_id = 1
         self._next_position_id = 1
-        # one-entry memo of pool_metrics: the key it was computed at, and its result
-        self._metrics_key: tuple | None = None
-        self._metrics: tuple[int, int, int, int] = (0, 0, 0, 0)
 
     # -- state views ------------------------------------------------------------
 
     def open_collateral_total(self) -> int:
         return sum(p.collateral for p in self.positions.values())
 
-    def metrics(self, pool: PoolState, pool_value: int,
-                cfg: MarketConfig) -> tuple[int, int, int, int]:
-        """`pool_metrics(pool, pool_value, cfg)`, computed once per change of its inputs.
-
-        The metrics read only (long_oi, short_oi, pool_value) and the config,
-        so the last key and result are kept. The key is compared on every
-        call, against the values passed in, so no write has to clear it.
-        """
-        key = (pool.long_oi, pool.short_oi, pool_value, cfg)
-        if key != self._metrics_key:
-            self._metrics = pool_metrics(pool, pool_value, cfg)
-            self._metrics_key = key
-        return self._metrics
-
     # -- accrual -------------------------------------------------------------------
 
     def _accrued(self, now: int) -> PoolState:
         """The pool with fees accrued to `now`; writes nothing."""
-        return accrue_fees(self.pool, self.vault.total_assets, self.config, now,
-                           self.metrics)
+        return accrue_fees(self.pool, self.vault.total_assets, self.config, now)
 
     def accrue(self, now: int) -> None:
         self.pool = self._accrued(now)
@@ -540,6 +522,19 @@ class Engine:
         if not check_liquidation(pos, pool, self.config, mark):
             raise NotLiquidatable(f"position {position_id} is healthy at {mark}")
         return self._execute_close(pos, mark, pool, liquidation=True)
+
+    def liquidatable(self, now: int) -> list[int]:
+        """Ids, in id order, of the open positions `liquidate(id, now)` would not
+        refuse as healthy: every one when the oracle refuses, as it then does
+        for both sides alike."""
+        pool = self._accrued(now)
+        try:   # each side's mark once: longs sell, shorts buy
+            marks = {Direction.LONG: self._aggregate_mark(TradeSide.SELL, now),
+                     Direction.SHORT: self._aggregate_mark(TradeSide.BUY, now)}
+        except (StaleFeed, DeviationTooHigh):
+            return sorted(self.positions)
+        return [pid for pid, pos in sorted(self.positions.items())
+                if check_liquidation(pos, pool, self.config, marks[pos.direction])]
 
     # -- triggers ------------------------------------------------------------------------
 

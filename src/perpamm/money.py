@@ -63,11 +63,22 @@ _MAX_WHOLE_DEC = Decimal(_MAX_WHOLE)
 _MAX_WHOLE_DIGITS = len(str(_MAX_WHOLE))
 
 
+# Longest repr an amount error prints whole; it fits a 5,000-digit string.
+_SHOWN_CHARS = 10_000
+
+
 def _shown(value) -> str:
-    """repr of an input amount; an int too long to print is shown by its size."""
+    """repr of an input amount, bounded: a JSON list or object is named by its
+    type and length, an int too long to print by its size, and any other repr
+    is cut after _SHOWN_CHARS characters."""
+    if isinstance(value, (list, dict)):
+        return f"a {type(value).__name__} of length {len(value)}"
     if isinstance(value, int) and value.bit_length() > 1024:
         return f"an int of {value.bit_length()} bits"
-    return repr(value)
+    text = repr(value)
+    if len(text) > _SHOWN_CHARS:
+        return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+    return text
 
 
 def _beyond(value) -> ConfigError:

@@ -12,8 +12,10 @@ and each action's params, against ACTION_PARAMS, when the action runs;
 itself, in the reader's message forms. A malformed top level or entry stops
 the load with a ScenarioError.
 A missing, unknown or malformed param is a ScenarioError receipt and the run
-continues, as are engine errors. An InsolventVault error is fatal: the run
-halts after its row and that time's snapshot, with partial output flagged.
+continues, as are engine errors. A liquidation sweep tries only the positions
+`Engine.liquidatable` flags, so a healthy one writes no row. An InsolventVault
+error is fatal: the run halts after its row and that time's snapshot, with
+partial output flagged.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import load_market_config, non_empty_string, read_fields, read_json, seconds
-from .engine import Direction, Engine, OrderKind
-from .errors import InsolventVault, NotLiquidatable, ProtocolError, ScenarioError
+from .engine import Direction, Engine, OrderKind, pool_metrics
+from .errors import InsolventVault, ProtocolError, ScenarioError
 from .money import (FEE_INDEX_SCALE, MAX_TIMESTAMP, UNIT_SCALE, div_round_half_even,
                     format_nanos, format_units, to_units)
 from .oracle import PricePoint, load_trace
@@ -280,8 +282,7 @@ class _Runner:
         engine = self.engine
         engine.accrue(time)
         pool, pool_value = engine.pool, engine.vault.total_assets
-        utilization, skew, rate_long, rate_short = engine.metrics(
-            pool, pool_value, engine.config)
+        utilization, skew, rate_long, rate_short = pool_metrics(pool, pool_value, engine.config)
         self.snapshots.append(SnapshotRow(
             time=time, pool_value=pool_value, reserved=pool.reserved,
             long_oi=pool.long_oi, short_oi=pool.short_oi,
@@ -395,17 +396,16 @@ class _Runner:
                    cash_delta=refund if refund else None)
 
     def _do_liquidate_check(self, action: Action, params: dict) -> None:
-        sweep = "position_id" not in params
-        targets = sorted(self.engine.positions) if sweep else [params["position_id"]]
+        # a sweep (no position_id) tries only the positions the engine flags
+        targets = ([params["position_id"]] if "position_id" in params
+                   else self.engine.liquidatable(action.time))
         for position_id in targets:
             pos = self.engine.positions.get(position_id)
             owner = pos.owner if pos is not None else action.actor
             try:
                 receipt = self.engine.liquidate(position_id, action.time)
             except ProtocolError as exc:
-                if not (sweep and isinstance(exc, NotLiquidatable)):
-                    self._failed(action.time, owner, action.kind, exc,
-                                 position_id=position_id)
+                self._failed(action.time, owner, action.kind, exc, position_id=position_id)
             else:
                 self._emit_settlement(action.time, owner, action.kind, receipt,
                                       None, position_id)

@@ -190,12 +190,19 @@ LIMIT_ROWS = [
     ({"max_leverage": "0.5", "max_exposure": -1, "maintenance_margin_rate": 200},
      ["max_leverage must be >= 1", "max_exposure must be >= 0",
       "maintenance_margin_rate * max_leverage must be < 100"]),
+    # fee curves with no 9-digit value at 100% utilization or skew, which a run
+    # would reach only at its first accrual
+    ({"base_fee": {"k_b": 1e45, "c_b": 0}},
+     ["base_fee at 100%: 1e+49 has no 9-digit fixed-point value"]),
+    ({"dynamic_fee": {"m_max": 1e45, "steepness": 0.0125}},
+     ["dynamic_fee at 100%: 5.546e+44 has no 9-digit fixed-point value"]),
 ]
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "run-missing-trace"])
 @pytest.mark.parametrize("overrides, limits", LIMIT_ROWS,
-                         ids=["leverage", "exposure", "margin-times-leverage", "all-three"])
+                         ids=["leverage", "exposure", "margin-times-leverage", "all-three",
+                              "base-fee-at-full-utilization", "dynamic-fee-at-full-skew"])
 def test_config_limits_are_one_config_error_line(tmp_path, capsys, command, overrides, limits):
     scenario = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[],
                      config=dict(FRICTIONLESS, **overrides))
@@ -527,6 +534,17 @@ ONE_READER_ROWS = [
                  "ERROR ConfigError: market config: bad 'max_leverage': "
                  "not a numeric amount: True", id="config-amount-true"),
     pytest.param("run", {"action": {"assets": float("nan")}}, None, id="action-amount-nan"),
+    # a huge value is named by its type and length, or its repr is cut: one short line
+    pytest.param("run", {"config": {"max_leverage": [1] * 200_000}},
+                 "ERROR ConfigError: market config: bad 'max_leverage': "
+                 "not a numeric amount: a list of length 200000", id="config-amount-huge-list"),
+    pytest.param("run", {"config": {"max_leverage": {str(i): i for i in range(50_000)}}},
+                 "ERROR ConfigError: market config: bad 'max_leverage': "
+                 "not a numeric amount: a dict of length 50000", id="config-amount-huge-object"),
+    pytest.param("run", {"config": {"max_leverage": "x" * 300_000}},
+                 "ERROR ConfigError: market config: bad 'max_leverage': "
+                 f"not a decimal amount: '{'x' * 9_999}... (300002 characters)",
+                 id="config-amount-huge-string"),
 ]
 
 

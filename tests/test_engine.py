@@ -24,7 +24,6 @@ from perpamm.engine import (
     Position,
     accrue_fees,
     check_liquidation,
-    pool_metrics,
     position_equity,
     trigger_met,
     utilization_pct,
@@ -181,66 +180,6 @@ def test_accrual_to_the_latest_timestamp_is_finite():
     assert math.isfinite(after.cum_fee_index_long) and after.cum_fee_index_long > 0
     pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0)
     assert position_equity(pos, after, U(2000)) < 0
-
-
-# One step of a random session: ("deposit", assets), ("redeem", share fraction),
-# ("open", direction, size), ("close", pick), ("vault", assets added by a direct
-# write to engine.vault) or ("time", seconds forward).
-memo_steps = st.lists(st.one_of(
-    st.tuples(st.just("deposit"), st.integers(1, 10**5)),
-    st.tuples(st.just("redeem"), st.fractions(0, 1)),
-    st.tuples(st.just("open"), st.sampled_from(Direction), st.integers(1, 2000)),
-    st.tuples(st.just("close"), st.integers(0, 100)),
-    st.tuples(st.just("vault"), st.integers(-10**4, 10**4)),
-    st.tuples(st.just("time"), st.integers(0, 10 * DAY)),
-), max_size=40)
-
-
-@settings(max_examples=150, deadline=None)
-@given(memo_steps)
-def test_engine_metrics_equal_fresh_pool_metrics(steps):
-    """The engine's memo of pool_metrics is never stale, whatever wrote the pool or vault."""
-    engine = make_engine(make_config(base_fee=BaseFeeParams(0.01, 1.0),
-                                     dynamic_fee=DynamicFeeParams(500, 0.0125)))
-    now = 0
-    feed_both(engine, U(2000), now)
-    for step in steps:
-        kind = step[0]
-        try:
-            if kind == "deposit":
-                engine.lp_deposit("lp", U(step[1]), now)
-            elif kind == "redeem":
-                shares = int(engine.vault.balances.get("lp", 0) * step[1])
-                engine.lp_redeem("lp", shares, now)
-            elif kind == "open":
-                size = U(step[2])
-                oid = engine.create_order("t", OrderKind.MARKET_OPEN, step[1], size=size,
-                                          collateral=size // 5, acceptable_price=U(2000),
-                                          max_slippage=U(100))
-                engine.settle_order(oid, now)
-            elif kind == "close" and engine.positions:
-                pid = sorted(engine.positions)[step[1] % len(engine.positions)]
-                oid = engine.create_order("t", OrderKind.MARKET_CLOSE,
-                                          engine.positions[pid].direction,
-                                          acceptable_price=U(2000), max_slippage=U(100),
-                                          position_id=pid)
-                engine.settle_order(oid, now)
-            elif kind == "vault":
-                # a direct write, as tests make, kept at or above reserved and one
-                # unit, which the engine's own calls guarantee
-                engine.vault.total_assets = max(engine.vault.total_assets + U(step[1]),
-                                                engine.pool.reserved, 1)
-            elif kind == "time":
-                now += step[1]
-                feed_both(engine, U(2000), now)
-                fresh = accrue_fees(engine.pool, engine.vault.total_assets,
-                                    engine.config, now)
-                engine.accrue(now)
-                assert engine.pool == fresh
-        except ProtocolError:
-            pass
-        args = (engine.pool, engine.vault.total_assets, engine.config)
-        assert engine.metrics(*args) == pool_metrics(*args)
 
 
 # -- Order creation -----------------------------------------------------------------

@@ -310,6 +310,38 @@ def test_liquidate_check_sweep_and_explicit(tmp_path):
     assert liq.realized_pnl == -U(95)
 
 
+def test_sweep_rows_follow_the_oracle_per_side(tmp_path):
+    """A sweep the oracle refuses writes one row per open position, in id order;
+    in the mid band it marks longs at the lower feed and shorts at the higher."""
+    opens = [act(0, "lp", "deposit", assets=10_000)]
+    for oid, (owner, direction, collateral, t) in enumerate([
+            ("alice", "long", 100, 0),      # position 1: liquidatable at <= 1820
+            ("carol", "long", 500, 0),      # position 2: healthy throughout
+            ("bob", "short", 100, 60)], 1):  # position 3, opened at 1675: at >= 1825.75
+        price = 2000 if t == 0 else 1675
+        opens += [act(t, owner, "create_order", kind="market_open", direction=direction,
+                      size=1000, collateral=collateral, acceptable_price=price,
+                      max_slippage=1),
+                  act(t, owner, "settle_order", order_id=oid)]
+    path = build(
+        tmp_path, accounts=("lp", "alice", "bob", "carol"),
+        trace_rows=both_feeds(0, 2000) + both_feeds(60, 1675)
+        + [(3700, "primary", 2000), (3700, "secondary", 2100),   # 5% apart: over threshold
+           (3720, "primary", 1826), (3720, "secondary", 1819)],  # 0.38% apart: mid band
+        actions=opens + [act(3661, "lp", "liquidate_check"),     # feeds 3601 s old: stale
+                         act(3700, "lp", "liquidate_check"),
+                         act(3720, "lp", "liquidate_check")])
+    result = run_files(path)
+    sweeps = [(r.time, r.actor, r.status, r.position_id, r.executed_price)
+              for r in result.receipts if r.action == "liquidate_check"]
+    owners = {1: "alice", 2: "carol", 3: "bob"}
+    assert sweeps == (
+        [(3661, owners[pid], "StaleFeed", pid, None) for pid in (1, 2, 3)]
+        + [(3700, owners[pid], "DeviationTooHigh", pid, None) for pid in (1, 2, 3)]
+        + [(3720, "alice", "ok", 1, U(1819)), (3720, "bob", "ok", 3, U(1826))])
+    assert set(result.engine.positions) == {2}
+
+
 OPEN_LONG = dict(kind="market_open", direction="long", size=1000, collateral=100,
                  acceptable_price=2000, max_slippage=1)
 
@@ -401,26 +433,33 @@ def test_snapshot_computes_each_pool_value_once(monkeypatch):
 
 
 def test_rates_are_computed_once_while_the_pool_does_not_change(tmp_path, monkeypatch):
-    """K price-only event times accrue at the rates of one pool: one evaluation, not K."""
+    """Price-only event times evaluate no rates: 5 or 50 of them between the same
+    two snapshots give the same number of evaluations."""
     config = dict(FRICTIONLESS, base_fee={"k_b": 0.01, "c_b": 1},
                   dynamic_fee={"m_max": 500, "steepness": 0.0125})
-    times = range(0, 60 * 51, 60)   # the open at 0, then K = 50 price-only times
-    path = build(
-        tmp_path, config=config, interval=600,
-        trace_rows=[row for t in times for row in both_feeds(t, 2000)],
-        actions=[
-            act(0, "lp", "deposit", assets=10_000),
-            act(0, "trader", "create_order", kind="market_open", direction="long",
-                size=3000, collateral=500, acceptable_price=2000, max_slippage=1),
-            act(0, "trader", "settle_order", order_id=1),
-        ])
     rates = count_calls(monkeypatch, perpamm.curves.total_borrow_rates)
-    result = run_files(path)
-    assert [r.status for r in result.receipts] == ["ok"] * 3
-    assert rates[0] == 1
-    last = result.snapshots[-1]
-    assert last.time == times[-1] and last.borrow_rate_long > last.borrow_rate_short > 0
-    assert last.cum_fee_index_long > last.cum_fee_index_short > 0
+    counts = []
+    for k in (5, 50):
+        times = range(0, 3000 + 1, 3000 // k)   # the open at 0, then k price-only times
+        (tmp_path / str(k)).mkdir()
+        path = build(
+            tmp_path / str(k), config=config, interval=3000,
+            trace_rows=[row for t in times for row in both_feeds(t, 2000)],
+            actions=[
+                act(0, "lp", "deposit", assets=10_000),
+                act(0, "trader", "create_order", kind="market_open", direction="long",
+                    size=3000, collateral=500, acceptable_price=2000, max_slippage=1),
+                act(0, "trader", "settle_order", order_id=1),
+            ])
+        rates[0] = 0
+        result = run_files(path)
+        assert [r.status for r in result.receipts] == ["ok"] * 3
+        assert [s.time for s in result.snapshots] == [0, 3000]
+        counts.append(rates[0])
+        last = result.snapshots[-1]
+        assert last.borrow_rate_long > last.borrow_rate_short > 0
+        assert last.cum_fee_index_long > last.cum_fee_index_short > 0
+    assert counts[0] == counts[1]
 
 
 def test_the_runner_accrues_only_through_snapshots(tmp_path, monkeypatch):

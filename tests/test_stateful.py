@@ -12,6 +12,8 @@ whose payout takes the whole pool. After every step it checks:
   that of the open positions (so `accrue_fees` never sees open interest in
   an empty pool);
 * the trigger book answers like a scan of every pending order;
+* a sweep's `Engine.liquidatable` ids are those a one-by-one sweep does not
+  find healthy;
 * a call that raises leaves the engine's fingerprint unchanged;
 * borrow fees match an exact model: the machine integrates each side's rate
   over time in `Fraction`s, and each index accrued to now equals that
@@ -34,7 +36,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from conftest import feed_both, ledger_sum, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, accrue_fees, pool_metrics, position_equity
-from perpamm.errors import InsolventVault, ProtocolError
+from perpamm.errors import InsolventVault, NotLiquidatable, ProtocolError
 from perpamm.money import FEE_INDEX_SCALE, SECONDS_PER_YEAR, pct_of, to_units
 from perpamm.oracle import PricePoint
 from test_engine import brute_force_triggers, fingerprint, probe_marks
@@ -220,11 +222,12 @@ class EngineMachine(RuleBasedStateMachine):
 
     # -- liquidation -----------------------------------------------------------
 
-    def liquidate_one(self, pid: int) -> None:
+    def liquidate_one(self, pid: int) -> ProtocolError | None:
         pos = self.engine.positions.get(pid)
         receipt, error = self.attempt(lambda: self.engine.liquidate(pid, self.now))
         if error is None:
             self.cash[pos.owner] += receipt.payout
+        return error
 
     @precondition(has_positions)
     @rule(ref=PICK)
@@ -241,8 +244,14 @@ class EngineMachine(RuleBasedStateMachine):
     @precondition(has_positions)
     @rule()
     def sweep(self):
-        for pid in sorted(self.engine.positions):
-            self.liquidate_one(pid)
+        """Liquidate every position one by one; those not refused as healthy are
+        the ones `liquidatable` flags, in id order, and asking wrote nothing."""
+        before = fingerprint(self.engine)
+        flagged = self.engine.liquidatable(self.now)
+        assert fingerprint(self.engine) == before
+        tried = [pid for pid in sorted(self.engine.positions)
+                 if not isinstance(self.liquidate_one(pid), NotLiquidatable)]
+        assert tried == flagged
 
     # -- market and clock ------------------------------------------------------
 
