@@ -1,14 +1,15 @@
 """Protocol state machine: orders, positions, fee accrual, liquidation.
 
-One engine serves one market backed by one LP vault. Its `MarketConfig`
-(from `config`) checked its own limits when it was built, so the engine does
-not check them again. The pool value *is* the vault's total assets, and
-`reserved` is the gross notional of open positions, so utilization =
-reserved / vault assets. The engine holds the rest of the pool once, as the
-immutable `Engine.pool` (a NamedTuple, as are positions, orders and
-settlement receipts): open interest per side, the two fee indices and the
-last accrual time; `reserved` is derived from the open interest, never
-stored.
+One engine serves one market backed by one LP vault, and settles against the
+latest points of the two feeds `oracle` names, PRIMARY and SECONDARY; the
+pair is fixed, not configured. Its `MarketConfig` (from `config`) checked
+its own limits when it was built, so the engine does not check them again.
+The pool value *is* the vault's total assets, and `reserved` is the gross
+notional of open positions, so utilization = reserved / vault assets. The
+engine holds the rest of the pool once, as the immutable `Engine.pool` (a
+NamedTuple, as are positions, orders and settlement receipts): open interest
+per side, the two fee indices and the last accrual time; `reserved` is
+derived from the open interest, never stored.
 
 All monetary state is integer base units (1e-6). Borrow fees accrue lazily
 through per-side cumulative indices: each entry point that reads or changes
@@ -64,7 +65,7 @@ from .money import (
     div_round_half_even,
     pct_of,
 )
-from .oracle import FeedStore, TradeSide, aggregate
+from .oracle import PRIMARY, SECONDARY, FeedStore, TradeSide, aggregate
 from .vault import VaultState
 
 
@@ -246,21 +247,14 @@ def trigger_met(kind: OrderKind, direction: Direction, trigger_price: int,
 
 class Engine:
     """Single-market, single-writer protocol engine; it trusts its config and its
-    treasury_fee_share (in [0, 100]%) as their readers checked them."""
+    treasury_fee_share (percent of fees in base units, within [0, 100]%) as
+    their readers checked them."""
 
-    def __init__(
-        self,
-        config: MarketConfig,
-        treasury_fee_share: int = 0,   # percent of fees, base units
-        primary_feed: str = "primary",
-        secondary_feed: str = "secondary",
-    ) -> None:
+    def __init__(self, config: MarketConfig, treasury_fee_share: int = 0) -> None:
         self.config = config
         self.vault = VaultState()
         self.feeds = FeedStore()
         self.treasury_fee_share = treasury_fee_share
-        self.primary_feed = primary_feed
-        self.secondary_feed = secondary_feed
 
         self.pool = PoolState(0, 0, 0, 0, 0)
         self.treasury = 0
@@ -381,8 +375,8 @@ class Engine:
     # -- settlement --------------------------------------------------------------------
 
     def _aggregate_mark(self, side: TradeSide, now: int) -> int:
-        primary = self.feeds.get(self.primary_feed)
-        secondary = self.feeds.get(self.secondary_feed)
+        primary = self.feeds.get(PRIMARY)
+        secondary = self.feeds.get(SECONDARY)
         if primary is None or secondary is None:
             raise StaleFeed("both oracle feeds must have published a price")
         return aggregate(primary, secondary, side, self.config.oracle, now)
@@ -532,8 +526,10 @@ class Engine:
             marks = {Direction.LONG: self._aggregate_mark(TradeSide.SELL, now),
                      Direction.SHORT: self._aggregate_mark(TradeSide.BUY, now)}
         except (StaleFeed, DeviationTooHigh):
-            return sorted(self.positions)
-        return [pid for pid, pos in sorted(self.positions.items())
+            return list(self.positions)
+        # ids only grow and deleting from a dict keeps insertion order, so
+        # `positions` is already in id order
+        return [pid for pid, pos in self.positions.items()
                 if check_liquidation(pos, pool, self.config, marks[pos.direction])]
 
     # -- triggers ------------------------------------------------------------------------

@@ -21,10 +21,11 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DeviationTooHigh, DomainError, StaleFeed, TraceError
+from .errors import ConfigError, DeviationTooHigh, DomainError, StaleFeed, TraceError
 from .money import MAX_TIMESTAMP, UNIT_SCALE, to_units
 
 TRACE_HEADER = ["timestamp", "feed_id", "price"]
+PRIMARY, SECONDARY = FEEDS = ("primary", "secondary")   # a trace's only feed ids
 
 
 class TradeSide(enum.Enum):
@@ -71,10 +72,6 @@ class FeedStore:
     def get(self, feed_id: str) -> PricePoint | None:
         return self._points.get(feed_id)
 
-    def latest_price(self, feed_id: str) -> int | None:
-        point = self._points.get(feed_id)
-        return None if point is None else point.price
-
 
 def _check_fresh(point: PricePoint, cfg: OracleConfig, now: int) -> None:
     if now - point.publish_time > cfg.max_age:
@@ -110,8 +107,9 @@ def aggregate(
 # -- Trace loading -------------------------------------------------------------
 
 def load_trace(path: str) -> list[PricePoint]:
-    """Parse a `timestamp,feed_id,price` CSV of positive prices; timestamps must
-    be nondecreasing and within [0, MAX_TIMESTAMP]. A defect is one TraceError."""
+    """Parse a `timestamp,feed_id,price` CSV of positive prices of the feeds
+    `primary` and `secondary`; timestamps must be nondecreasing and within
+    [0, MAX_TIMESTAMP]. A defect is one TraceError."""
     points: list[PricePoint] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -131,18 +129,21 @@ def load_trace(path: str) -> list[PricePoint]:
                     raise TraceError(f"line {lineno}: bad timestamp {row[0]!r}") from None
                 if ts > MAX_TIMESTAMP:
                     raise TraceError(f"line {lineno}: timestamp beyond {MAX_TIMESTAMP}")
+                if ts < 0:
+                    raise TraceError(f"line {lineno}: negative publish time for feed {row[1]!r}")
                 if last_ts is not None and ts < last_ts:
                     raise TraceError(
                         f"line {lineno}: timestamps decrease ({last_ts} -> {ts})")
                 last_ts = ts
+                if row[1] not in FEEDS:
+                    raise TraceError(f"line {lineno}: unknown feed {row[1]!r} "
+                                     f"(expected {PRIMARY!r} or {SECONDARY!r})")
                 try:
                     price = to_units(row[2])
-                except Exception:
+                except ConfigError:
                     raise TraceError(f"line {lineno}: bad price {row[2]!r}") from None
                 if price <= 0:
                     raise TraceError(f"line {lineno}: non-positive price for feed {row[1]!r}")
-                if ts < 0:
-                    raise TraceError(f"line {lineno}: negative publish time for feed {row[1]!r}")
                 points.append(PricePoint(row[1], price, ts))
         except UnicodeDecodeError as exc:
             raise TraceError(f"trace is not valid text: {exc}") from None

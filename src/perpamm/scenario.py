@@ -5,6 +5,8 @@ to a time-ordered list of actor actions. Events at the same timestamp apply
 in a fixed order: price updates, trigger evaluation, explicit actions in
 declaration order, then a due snapshot; fees accrue inside the engine calls
 and the snapshot. Replaying identical inputs yields byte-identical outputs.
+The trace holds points of the feeds `oracle.FEEDS` only, and the trigger
+pass takes the primary's latest price as its mark.
 
 `config.read_fields` reads the scenario's top-level object when it loads,
 and each action's params, against ACTION_PARAMS, when the action runs;
@@ -31,7 +33,7 @@ from .engine import Direction, Engine, OrderKind, pool_metrics
 from .errors import InsolventVault, ProtocolError, ScenarioError
 from .money import (FEE_INDEX_SCALE, MAX_TIMESTAMP, UNIT_SCALE, div_round_half_even,
                     format_nanos, format_units, to_units)
-from .oracle import PricePoint, load_trace
+from .oracle import PRIMARY, PricePoint, load_trace
 
 
 def _amount(value) -> int:
@@ -85,8 +87,6 @@ class Scenario:
     actions: list[Action]
     snapshot_interval: int
     accounts: list[str]
-    primary_feed: str = "primary"
-    secondary_feed: str = "secondary"
     treasury_fee_share: int = 0
 
 
@@ -185,7 +185,6 @@ def _list(value) -> list:
 _ENVELOPE = {
     "market_config": non_empty_string, "price_trace": non_empty_string,
     "actions": _list, "snapshot_interval": seconds, "accounts": _accounts,
-    "primary_feed": non_empty_string, "secondary_feed": non_empty_string,
     "treasury_fee_share": _share,
 }
 _ENVELOPE_REQUIRED = ("market_config", "price_trace", "actions", "snapshot_interval",
@@ -334,10 +333,10 @@ class _Runner:
 
     def _run_triggers(self, t: int) -> None:
         engine = self.engine
-        mark = engine.feeds.latest_price(engine.primary_feed)
-        if mark is None:
+        primary = engine.feeds.get(PRIMARY)
+        if primary is None:
             return
-        for order_id in engine.evaluate_triggers(mark):
+        for order_id in engine.evaluate_triggers(primary.price):
             order = engine.orders[order_id]
             try:
                 receipt = engine.settle_order(order_id, t)
@@ -415,9 +414,7 @@ class _Runner:
 
 def run(scenario: Scenario, config, trace: list[PricePoint]) -> RunResult:
     """Run a loaded scenario against a parsed config and trace."""
-    engine = Engine(config, treasury_fee_share=scenario.treasury_fee_share,
-                    primary_feed=scenario.primary_feed,
-                    secondary_feed=scenario.secondary_feed)
+    engine = Engine(config, treasury_fee_share=scenario.treasury_fee_share)
     return _Runner(scenario, engine, trace).run()
 
 

@@ -602,3 +602,31 @@ def test_treasury_fee_share_range_is_checked_when_the_scenario_is_read(
         assert (exit_code, err) == (1, "ERROR ScenarioError: scenario: bad "
                                        "'treasury_fee_share': must be within [0, 100]%\n")
         assert not out_dir.exists()
+
+
+def test_run_trace_of_an_unknown_feed_is_one_trace_error_line(tmp_path, capsys):
+    # feed ids are exact: a misspelt primary would otherwise leave every
+    # settlement a StaleFeed row
+    scenario = build(tmp_path, trace_rows=[(0, "Primary", 2000)] + both_feeds(0, 2000),
+                     actions=[act(0, "lp", "deposit", assets=1000)])
+    out_dir = tmp_path / "out"
+    exit_code = main(["run", "--config", str(tmp_path / "market.json"),
+                      "--trace", str(tmp_path / "trace.csv"), "--scenario", scenario,
+                      "--out-dir", str(out_dir)])
+    assert (exit_code, capsys.readouterr().err) == (
+        1, "ERROR TraceError: line 2: unknown feed 'Primary' "
+           "(expected 'primary' or 'secondary')\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["primary_feed", "secondary_feed"])
+def test_run_scenario_naming_a_feed_is_one_unknown_key_line(tmp_path, capsys, key):
+    scenario = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[],
+                     extra={key: "primary"})
+    out_dir = tmp_path / "out"
+    exit_code = main(["run", "--config", str(tmp_path / "market.json"),
+                      "--trace", str(tmp_path / "trace.csv"), "--scenario", scenario,
+                      "--out-dir", str(out_dir)])
+    assert (exit_code, capsys.readouterr().err) == (
+        1, f"ERROR ScenarioError: scenario: unknown key {key!r}\n")
+    assert not out_dir.exists()

@@ -199,6 +199,17 @@ def test_leverage_just_past_bound_rejected(engine):
                             acceptable_price=U(2000))
 
 
+@pytest.mark.parametrize("size, collateral", [(0, U(100)), (U(100), 0)])
+def test_an_open_of_zero_size_or_zero_collateral_is_a_domain_error(engine, size,
+                                                                   collateral):
+    # a zero collateral is refused as such, not as infinite leverage
+    with pytest.raises(DomainError, match="opens need positive size and collateral"):
+        engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
+                            size=size, collateral=collateral,
+                            acceptable_price=U(2000))
+    assert not engine.orders
+
+
 def test_close_for_missing_position_accepted_then_fails_at_settlement(engine):
     engine.vault.deposit("lp", U(10000))
     feed_both(engine, U(2000), 0)
@@ -315,6 +326,26 @@ def test_exposure_cap():
                               acceptable_price=U(2000), max_slippage=U(1))
     with pytest.raises(ExposureCapExceeded):
         engine.settle_order(oid, 0)
+
+
+@pytest.mark.parametrize("cap, error", [("max_open_interest", OpenInterestCapExceeded),
+                                        ("max_exposure", ExposureCapExceeded)])
+def test_an_open_may_land_exactly_on_a_cap(cap, error):
+    """An open that brings its side's open interest, or the net exposure, to
+    exactly the cap fills; one base unit more is refused."""
+    def settle_long(size):
+        engine = make_engine(make_config(**{cap: U(300)}))
+        engine.vault.deposit("lp", U(10000))
+        feed_both(engine, U(2000), 0)
+        oid = engine.create_order("t", OrderKind.MARKET_OPEN, Direction.LONG,
+                                  size=size, collateral=U(100),
+                                  acceptable_price=U(2000), max_slippage=U(1))
+        engine.settle_order(oid, 0)
+        return engine
+
+    assert settle_long(U(300)).pool.long_oi == U(300)
+    with pytest.raises(error):
+        settle_long(U(300) + 1)
 
 
 def test_open_beyond_pool_is_insufficient_liquidity(engine):

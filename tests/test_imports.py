@@ -97,3 +97,24 @@ def test_checker_finds_names_used():
 @pytest.mark.parametrize("name", ["engine.py", "curves.py", "vault.py", "scenario.py"])
 def test_nano_modules_do_not_use_float_quantizing(name):
     assert not {"quantize9", "format9"} & names_used((PACKAGE / name).read_text())
+
+
+def feed_names(source: str) -> set[str]:
+    """The feed names the source holds as string constants."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value in ("primary", "secondary")}
+
+
+def test_checker_finds_feed_names():
+    assert feed_names("x = 'primary'\ndef f(feed='secondary'):\n    pass\n") == {
+        "primary", "secondary"}
+    assert feed_names('"""The primary feed."""\nx = "primary_feed"\n') == set()
+    assert feed_names((PACKAGE / "oracle.py").read_text()) == {"primary", "secondary"}
+
+
+# A market settles against exactly two feeds, and `oracle` names them once
+# (PRIMARY, SECONDARY); every other module reads those names.
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "oracle.py"], ids=lambda p: p.name)
+def test_only_the_oracle_names_the_feeds(path):
+    assert feed_names(path.read_text()) == set()

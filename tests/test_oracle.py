@@ -47,8 +47,8 @@ def test_older_point_is_ignored():
 def test_non_positive_price_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     for price in ("0", "-5"):
-        path.write_text(f"timestamp,feed_id,price\n10,A,{price}\n")
-        with pytest.raises(TraceError, match="non-positive price for feed 'A'"):
+        path.write_text(f"timestamp,feed_id,price\n10,primary,{price}\n")
+        with pytest.raises(TraceError, match="non-positive price for feed 'primary'"):
             load_trace(str(path))
 
 
@@ -57,6 +57,16 @@ def test_oracle_config_validation():
         OracleConfig(max_age=0, min_acceptable_deviation=0, threshold_deviation=1)
     with pytest.raises(DomainError):
         OracleConfig(max_age=60, min_acceptable_deviation=5, threshold_deviation=5)
+
+
+def test_zero_min_band_uses_primary_only_for_equal_feeds():
+    cfg = OracleConfig(max_age=60, min_acceptable_deviation=0,
+                       threshold_deviation=to_units(1))
+    assert aggregate(pp(2000, 100), pp(2000, 100, "secondary"), TradeSide.SELL, cfg,
+                     100) == to_units(2000)
+    # any gap at all is in the adverse band
+    assert aggregate(pp(2000, 100), pp("2000.000001", 100, "secondary"), TradeSide.BUY,
+                     cfg, 100) == to_units("2000.000001")
 
 
 # -- Aggregation rule set ----------------------------------------------------------
@@ -163,6 +173,12 @@ def test_load_trace_roundtrip(tmp_path):
     ]
 
 
+def test_load_trace_takes_a_row_at_the_last_timestamp(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"timestamp,feed_id,price\n{MAX_TIMESTAMP},primary,2000\n")
+    assert load_trace(str(path)) == [PricePoint("primary", to_units(2000), MAX_TIMESTAMP)]
+
+
 def test_load_trace_rejects_bad_header(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("time,feed,price\n10,primary,2000\n")
@@ -185,6 +201,22 @@ def test_load_trace_rejects_bad_price(tmp_path):
     path.write_text("timestamp,feed_id,price\n10,primary,-3\n")
     with pytest.raises(TraceError):
         load_trace(str(path))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("10,Primary,2000", "line 2: unknown feed 'Primary' (expected 'primary' or 'secondary')"),
+    ("10,,2000", "line 2: unknown feed '' (expected 'primary' or 'secondary')"),
+    # the timestamp is checked before the feed, and the feed before the price
+    ("-5,A,2000", "line 2: negative publish time for feed 'A'"),
+    ("20,primary,2000\n10,A,2000", "line 3: timestamps decrease (20 -> 10)"),
+    ("10,A,abc", "line 2: unknown feed 'A' (expected 'primary' or 'secondary')"),
+])
+def test_load_trace_takes_only_the_two_feeds(tmp_path, rows, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"timestamp,feed_id,price\n{rows}\n")
+    with pytest.raises(TraceError) as info:
+        load_trace(str(path))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("rows, message", [

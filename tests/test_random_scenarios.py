@@ -13,6 +13,10 @@ or 1 with one InsolventVault line; the two output directories are byte-
 identical; and the result conserves money, keeps reserved == long OI +
 short OI <= pool value in every snapshot, and ends with a snapshot at the
 time of the last receipt and the last accrual.
+
+A few fixed scenarios (the golden one and two drawn cases) also run through
+`python -m perpamm.cli run` in two fresh processes, under PYTHONHASHSEED 1
+and 2: the output bytes must not depend on the string-hash seed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 from hypothesis import given, settings
@@ -30,6 +36,7 @@ from conftest import ledger_sum
 from perpamm.cli import main
 from perpamm.money import format_units, pct_of, to_units
 from perpamm.scenario import run_files
+import test_scenario
 from test_stateful import (ASSETS, BAND, DIRECTIONS, DT, LEVERAGE, LPS, MOVE, OFFSET, PICK,
                            SIZE, TRADERS, shifted)
 
@@ -250,3 +257,41 @@ def test_random_scenarios_through_the_runner(case):
     last = result.snapshots[-1].time
     assert all(receipt.time <= last for receipt in result.receipts)
     assert result.engine.pool.last_accrual_time == last
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_with_hash_seed(argv: list[str], out_dir: str, hash_seed: str):
+    """`perpamm run` into out_dir in a fresh process: (exit code, stderr, the files)."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "perpamm.cli", *argv, "--out-dir", out_dir],
+                          env=env, capture_output=True, text=True, timeout=120)
+    files = {}
+    for name in ("snapshots.csv", "receipts.csv", "manifest.json"):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            files[name] = fh.read()
+    return proc.returncode, proc.stderr, files
+
+
+def assert_same_bytes_across_hash_seeds(argv: list[str], directory: str) -> None:
+    first, second = (run_with_hash_seed(argv, os.path.join(directory, f"hash{seed}"), seed)
+                     for seed in ("1", "2"))
+    code, err, _ = first
+    assert (code, err) == (0, "") or (code == 1 and err.startswith("ERROR InsolventVault: "))
+    assert second == first
+
+
+def test_golden_scenario_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    test_scenario.test_golden_receipts_and_snapshots(tmp_path)   # writes its inputs there
+    argv = ["run", "--config", str(tmp_path / "market.json"),
+            "--trace", str(tmp_path / "trace.csv"), "--scenario", str(tmp_path / "scenario.json")]
+    assert_same_bytes_across_hash_seeds(argv, str(tmp_path))
+
+
+@settings(max_examples=2, deadline=None)
+@given(case=cases().filter(lambda case: len(case[2]["actions"]) >= 10))
+def test_random_scenario_bytes_do_not_depend_on_the_hash_seed(case):
+    with tempfile.TemporaryDirectory() as directory:
+        assert_same_bytes_across_hash_seeds(write_case(directory, *case), directory)

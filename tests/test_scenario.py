@@ -152,6 +152,20 @@ def test_trigger_settles_before_same_time_action(tmp_path):
     assert at_60[0].executed_price == U(1880)
 
 
+def test_a_later_trace_row_of_one_feed_at_the_same_time_wins(tmp_path):
+    path = build(
+        tmp_path,
+        trace_rows=[(0, "primary", 2001)] + both_feeds(0, 2000),
+        actions=[
+            act(0, "lp", "deposit", assets=10000),
+            act(0, "trader", "create_order", kind="market_open", direction="long",
+                size=1000, collateral=200, acceptable_price=2000, max_slippage=1),
+            act(0, "trader", "settle_order", order_id=1),
+        ])
+    settled = run_files(path).receipts[-1]
+    assert (settled.status, settled.executed_price) == ("ok", U(2000))
+
+
 def test_errors_recorded_and_run_continues(tmp_path):
     path = build(
         tmp_path,
@@ -623,8 +637,7 @@ def test_golden_receipts_and_snapshots(tmp_path):
 # -- Loader validation ------------------------------------------------------------------
 
 def test_loader_rejects_unknown_keys(tmp_path):
-    path = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[],
-                 extra={"primary_feed": "primary"})
+    path = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[])
     raw = json.loads((tmp_path / "scenario.json").read_text())
     raw["surprise"] = 1
     (tmp_path / "scenario.json").write_text(json.dumps(raw))

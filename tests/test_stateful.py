@@ -38,7 +38,7 @@ from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, accrue_fees, pool_metrics, position_equity
 from perpamm.errors import InsolventVault, NotLiquidatable, ProtocolError
 from perpamm.money import FEE_INDEX_SCALE, SECONDS_PER_YEAR, pct_of, to_units
-from perpamm.oracle import PricePoint
+from perpamm.oracle import PRIMARY, PricePoint
 from test_engine import brute_force_triggers, fingerprint, probe_marks
 
 U = to_units
@@ -234,7 +234,7 @@ class EngineMachine(RuleBasedStateMachine):
     def liquidate(self, ref):
         """A keeper checks one position, most likely the one nearest liquidation."""
         engine = self.engine
-        mark = engine.feeds.latest_price(engine.primary_feed)
+        mark = engine.feeds.get(PRIMARY).price
         pool = accrue_fees(engine.pool, engine.vault.total_assets, CONFIG, self.now)
         margins = {pid: position_equity(pos, pool, mark) / pos.size
                    for pid, pos in engine.positions.items()}
