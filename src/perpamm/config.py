@@ -9,8 +9,8 @@ rejects is one error naming the object and the key.
 
 The config is a JSON object whose keys mirror the MarketConfig fields
 exactly, each section's keys its class's fields. Money, percent, and ratio
-values may be JSON numbers or strings and are parsed exactly (at most six
-fractional digits); curve coefficients are plain binary64 numbers. A
+values may be JSON numbers or plain decimal strings (`money.to_units`), read
+exactly (at most six fractional digits); curve coefficients are binary64. A
 MarketConfig and each of its sections check their own limits when built, so
 a config that loads is sound, and every defect is one ConfigError.
 """
@@ -160,12 +160,12 @@ def parse_market_config(raw: dict) -> MarketConfig:
 
 
 def read_json(path: str, error: type[ProtocolError], what: str):
-    """Parse a JSON input file with exact numbers (Decimal fractions, int
+    """Parse a UTF-8 JSON input file with exact numbers (Decimal fractions, int
     integers). A missing file, or text that is not JSON (undecodable bytes, an
     int past int()'s digit limit, nesting past the recursion limit), is one
     `error` naming `what`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_float=Decimal, parse_int=int)
     except FileNotFoundError:
         raise error(f"{what} file not found: {path}") from None

@@ -7,10 +7,10 @@ oracle deviation bands) is exact integer cross-multiplication.
 
 Utilization, skew, deviation and rates are int counts of 1e-9 percent
 ("nanos"); a binary64 curve output becomes one through its own correctly
-rounded ``.9f`` digits, round-half-even (:func:`nanos9`). ``Decimal`` only
-parses input amounts that are not plain decimal strings (:func:`to_units`):
-Decimals and the other spellings ``Decimal`` accepts, such as ``"1e3"``; a
-float, which only a JSON ``NaN`` or ``Infinity`` gives, is not an amount.
+rounded ``.9f`` digits, round-half-even (:func:`nanos9`). An input amount
+(:func:`to_units`) is an int, a plain decimal string, which ``int()`` parses,
+or a Decimal, which only a JSON number gives; a float, which only a JSON
+``NaN`` or ``Infinity`` gives, is not an amount.
 """
 
 from __future__ import annotations
@@ -89,16 +89,15 @@ def _too_fine(value) -> ConfigError:
     return ConfigError(f"more than 6 fractional digits: {_shown(value)}")
 
 
-def _plain_units(value: str) -> int | None:
-    """Base units of a plain decimal string, ``-?[0-9]+(\\.[0-9]*)?``; None for other strings.
-
-    int() parses it exactly, under to_units's bound and digit rule and messages.
-    """
+def _plain_units(value: str) -> int:
+    """Base units of a plain decimal string, ``-?[0-9]+(\\.[0-9]*)?``, by int(),
+    under to_units's bound, digit rule and messages; any other string is not a
+    decimal amount."""
     whole, _, frac = value.partition(".")
     digits = whole.removeprefix("-")
     # isascii() confines isdigit() to 0-9; int() alone would take "+5", " 5", "1_000"
     if not (value.isascii() and digits.isdigit() and (frac.isdigit() or not frac)):
-        return None
+        raise ConfigError(f"not a decimal amount: {_shown(value)}")
     digits = digits.lstrip("0")
     frac = frac.rstrip("0")
     # checked before int(), which refuses strings past sys.get_int_max_str_digits()
@@ -116,34 +115,28 @@ def _plain_units(value: str) -> int | None:
 
 
 def to_units(value) -> int:
-    """Convert a decimal-like value to integer base units.
+    """Convert an input amount to integer base units, exactly.
 
-    Strings and Decimals convert exactly and must not carry more than six
-    fractional digits; any type but int, str and Decimal (a bool, a float)
-    is a ConfigError, as are non-finite values and amounts beyond
-    +/-MAX_UNITS. Plain decimal strings are parsed with int() and every other
-    string with Decimal; either way the result or error is Decimal's.
+    A string is an amount only in the plain form ``-?[0-9]+(\\.[0-9]*)?``; a
+    Decimal, which only a JSON number gives, may use any spelling JSON allows.
+    Neither may carry more than six fractional digits; any type but int, str
+    and Decimal (a bool, a float) is a ConfigError, as are non-finite values
+    and amounts beyond +/-MAX_UNITS.
     """
     if isinstance(value, str):
-        units = _plain_units(value)
-        if units is not None:
-            return units
-    elif isinstance(value, bool) or not isinstance(value, (int, Decimal)):
+        return _plain_units(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise ConfigError(f"not a numeric amount: {_shown(value)}")
-    elif isinstance(value, int):
+    if isinstance(value, int):
         if abs(value) > _MAX_WHOLE:
             raise _beyond(value)
         return value * UNIT_SCALE
-    try:
-        amount = Decimal(value)
-    except decimal.InvalidOperation:
-        raise ConfigError(f"not a decimal amount: {_shown(value)}") from None
-    if not amount.is_finite():
+    if not value.is_finite():
         raise ConfigError(f"not a finite amount: {_shown(value)}")
     # copy_abs and the comparison use no context, so no exponent can overflow
-    if amount.copy_abs() > _MAX_WHOLE_DEC:
+    if value.copy_abs() > _MAX_WHOLE_DEC:
         raise _beyond(value)
-    scaled = _EXACT.multiply(amount, UNIT_SCALE)
+    scaled = _EXACT.multiply(value, UNIT_SCALE)
     if scaled != scaled.to_integral_value():
         raise _too_fine(value)
     return int(scaled)

@@ -107,44 +107,48 @@ def aggregate(
 # -- Trace loading -------------------------------------------------------------
 
 def load_trace(path: str) -> list[PricePoint]:
-    """Parse a `timestamp,feed_id,price` CSV of positive prices of the feeds
-    `primary` and `secondary`; timestamps must be nondecreasing and within
-    [0, MAX_TIMESTAMP]. A defect is one TraceError."""
+    """Parse a UTF-8 `timestamp,feed_id,price` CSV of positive plain-decimal prices
+    of the feeds `primary` and `secondary`; timestamps are ASCII digits,
+    nondecreasing and within [0, MAX_TIMESTAMP]. A defect is one TraceError."""
     points: list[PricePoint] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header != TRACE_HEADER:
                 raise TraceError(f"expected header {TRACE_HEADER}, got {header}")
-            last_ts = None
+            last_ts = 0     # timestamps are checked to be >= 0 first
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != 3:
                     raise TraceError(f"line {lineno}: expected 3 columns, got {len(row)}")
+                stamp, feed, amount = row
                 try:
-                    ts = int(row[0])
+                    # isascii() confines isdigit() to 0-9; int() alone would take " 1", "+1", "1_0"
+                    if not (stamp.isascii() and stamp.removeprefix("-").isdigit()):
+                        raise ValueError
+                    ts = int(stamp)     # also refuses a string past int()'s digit limit
                 except ValueError:
-                    raise TraceError(f"line {lineno}: bad timestamp {row[0]!r}") from None
+                    raise TraceError(f"line {lineno}: bad timestamp {stamp!r}") from None
                 if ts > MAX_TIMESTAMP:
                     raise TraceError(f"line {lineno}: timestamp beyond {MAX_TIMESTAMP}")
                 if ts < 0:
-                    raise TraceError(f"line {lineno}: negative publish time for feed {row[1]!r}")
-                if last_ts is not None and ts < last_ts:
+                    raise TraceError(f"line {lineno}: negative publish time for feed {feed!r}")
+                if ts < last_ts:
                     raise TraceError(
                         f"line {lineno}: timestamps decrease ({last_ts} -> {ts})")
                 last_ts = ts
-                if row[1] not in FEEDS:
-                    raise TraceError(f"line {lineno}: unknown feed {row[1]!r} "
+                if feed not in FEEDS:
+                    raise TraceError(f"line {lineno}: unknown feed {feed!r} "
                                      f"(expected {PRIMARY!r} or {SECONDARY!r})")
                 try:
-                    price = to_units(row[2])
+                    price = to_units(amount)
                 except ConfigError:
-                    raise TraceError(f"line {lineno}: bad price {row[2]!r}") from None
+                    raise TraceError(f"line {lineno}: bad price {amount!r}") from None
                 if price <= 0:
-                    raise TraceError(f"line {lineno}: non-positive price for feed {row[1]!r}")
-                points.append(PricePoint(row[1], price, ts))
+                    raise TraceError(f"line {lineno}: non-positive price for feed {feed!r}")
+                points.append(PricePoint(feed, price, ts))
         except UnicodeDecodeError as exc:
             raise TraceError(f"trace is not valid text: {exc}") from None
         except csv.Error as exc:    # a field past csv's size limit, a NUL byte, ...

@@ -169,8 +169,10 @@ class RunResult:
 # -- Scenario loading -----------------------------------------------------------
 
 def _accounts(value) -> list[str]:
-    if not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
-        raise ValueError("must be a list of account names")
+    # a name is a receipt's CSV cell: a bare CR or a lone surrogate would break the file
+    if not (isinstance(value, list)
+            and all(isinstance(a, str) and a and a.isprintable() for a in value)):
+        raise ValueError("must be a list of non-empty printable account names")
     return value
 
 
@@ -443,11 +445,11 @@ def run_files(scenario_path: str, config_path: str | None = None,
 # -- Output writing --------------------------------------------------------------------
 
 def _write_atomic(path: str, write) -> None:
-    """Write a text file via temp-file + atomic rename; `write(fh)` fills it."""
+    """Write a UTF-8 text file via temp-file + atomic rename; `write(fh)` fills it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:

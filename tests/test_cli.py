@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from perpamm.cli import main
 from perpamm.money import MAX_TIMESTAMP
+from test_random_scenarios import SRC
 from test_scenario import FRICTIONLESS, act, both_feeds, build
 
 DEEP = "[" * 100_000 + "]" * 100_000     # nested past the recursion limit
@@ -451,6 +456,11 @@ READER_ROWS = [
     ("market.json", ("oracle", "max_age"), "3600", "ConfigError"),
     ("scenario.json", ("surprise",), 1, "ScenarioError"),
     ("scenario.json", ("accounts",), DELETE, "ScenarioError"),
+    # a name is a receipts.csv cell: a bare CR would split its row (csv quotes
+    # only "\n" under lineterminator="\n"), and a lone surrogate has no UTF-8
+    ("scenario.json", ("accounts",), ["lp", "lp\rx"], "ScenarioError"),
+    ("scenario.json", ("accounts",), ["lp", "lp\ud800"], "ScenarioError"),
+    ("scenario.json", ("accounts",), ["lp", ""], "ScenarioError"),
     ("scenario.json", ("snapshot_interval",), -1, "ScenarioError"),
     ("scenario.json", ("market_config",), 5, "ScenarioError"),
     ("scenario.json", ("price_trace",), ["a"], "ScenarioError"),
@@ -630,3 +640,86 @@ def test_run_scenario_naming_a_feed_is_one_unknown_key_line(tmp_path, capsys, ke
     assert (exit_code, capsys.readouterr().err) == (
         1, f"ERROR ScenarioError: scenario: unknown key {key!r}\n")
     assert not out_dir.exists()
+
+
+def run_in(tmp_path, out_name: str) -> tuple[int, Path]:
+    """`perpamm run` of the files `build` wrote in tmp_path: (exit code, output dir)."""
+    out_dir = tmp_path / out_name
+    return main(["run", "--config", str(tmp_path / "market.json"),
+                 "--trace", str(tmp_path / "trace.csv"),
+                 "--scenario", str(tmp_path / "scenario.json"),
+                 "--out-dir", str(out_dir)]), out_dir
+
+
+# Where each reader of amount text takes its value: (file, the text the
+# literal replaces, the replacement with {} for the literal), and the one
+# ERROR line a refused string gives there (None: a ScenarioError receipt).
+AMOUNT_READERS = {
+    "config": ("market.json", '"max_open_interest": "1000000000"', '"max_open_interest": {}',
+               "ERROR ConfigError: market config: bad 'max_open_interest': "
+               "not a decimal amount: {!r}"),
+    "action": ("scenario.json", '"@"', "{}", None),
+    "treasury_fee_share": ("scenario.json", '"@"', "{}",
+                           "ERROR ScenarioError: scenario: bad 'treasury_fee_share': "
+                           "not a decimal amount: {!r}"),
+    "trace": ("trace.csv", "60,primary,2000", "60,primary,{}",
+              "ERROR TraceError: line 4: bad price {!r}"),
+}
+# a JSON number may use any spelling JSON allows (a share is at most 100)
+AMOUNT_NUMBERS = {"config": "1e3", "action": "1e3", "treasury_fee_share": "1e1"}
+
+
+@pytest.mark.parametrize("text", [" 5", "1_000", "\u0661", "1e3"])
+@pytest.mark.parametrize("where", list(AMOUNT_READERS))
+def test_a_string_amount_has_only_the_plain_form_at_every_reader(tmp_path, capsys, where,
+                                                                  text):
+    build(tmp_path, trace_rows=both_feeds(0, 2000) + both_feeds(60, 2000),
+          actions=[act(0, "lp", "deposit", assets="@" if where == "action" else 1000),
+                   act(60, "lp", "deposit", assets=1000)],
+          extra={"treasury_fee_share": "@"} if where == "treasury_fee_share" else None)
+    file, old, new, line = AMOUNT_READERS[where]
+    template = (tmp_path / file).read_text(encoding="utf-8")
+    assert template.count(old) == 1
+
+    def run_with(literal: str, out_name: str) -> tuple[int, str, Path]:
+        (tmp_path / file).write_text(template.replace(old, new.format(literal)),
+                                     encoding="utf-8")
+        exit_code, out_dir = run_in(tmp_path, out_name)
+        return exit_code, capsys.readouterr().err, out_dir
+
+    exit_code, err, out_dir = run_with(text if where == "trace" else json.dumps(text), "out")
+    if line is None:
+        assert (exit_code, err) == (0, "")
+        receipts = (out_dir / "receipts.csv").read_text().splitlines()
+        assert [row.split(",")[4] for row in receipts[1:]] == ["ScenarioError", "ok"]
+    else:
+        assert (exit_code, err) == (1, line.format(text) + "\n")
+        assert not out_dir.exists()
+    if where in AMOUNT_NUMBERS:
+        exit_code, err, out_dir = run_with(AMOUNT_NUMBERS[where], "number")
+        assert (exit_code, err) == (0, "")
+        receipts = (out_dir / "receipts.csv").read_text().splitlines()
+        assert [row.split(",")[4] for row in receipts[1:]] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True], ids=["raw-utf8", "json-escape"])
+def test_run_reads_and_writes_utf8_whatever_the_locale(tmp_path, ensure_ascii):
+    # an account "lp\u00e9", written as raw UTF-8 or as a JSON escape; under
+    # LC_ALL=C without UTF-8 mode the locale's encoding is ASCII
+    build(tmp_path, trace_rows=both_feeds(0, 2000), accounts=("lp\u00e9",),
+          actions=[act(0, "lp\u00e9", "deposit", assets=1000)])
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(json.dumps(json.loads(scenario.read_bytes()),
+                                    ensure_ascii=ensure_ascii).encode("utf-8"))
+    assert run_in(tmp_path, "utf8")[0] == 0
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "perpamm.cli", "run", "--config", str(tmp_path / "market.json"),
+         "--trace", str(tmp_path / "trace.csv"), "--scenario", str(scenario),
+         "--out-dir", str(tmp_path / "ascii")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for name in ("snapshots.csv", "receipts.csv", "manifest.json"):
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+    assert "lp\u00e9".encode("utf-8") in (tmp_path / "utf8" / "receipts.csv").read_bytes()

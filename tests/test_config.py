@@ -85,14 +85,18 @@ def test_too_fine_precision_rejected(tmp_path):
         load_market_config(write(tmp_path, bad))
 
 
-@pytest.mark.parametrize("amount", [
-    "1." + "0" * 50 + "1",   # the 7th+ digit lies beyond 50 significant digits
-    "1e-99999999",           # scaling by 10**6 would underflow a bounded context
+# (the amount's JSON text, written as is); the ids name the amounts
+@pytest.mark.parametrize("literal", [
+    # a string: the 7th+ digit lies beyond 50 significant digits
+    pytest.param('"1.' + "0" * 50 + '1"', id="1." + "0" * 50 + "1"),
+    # a JSON number: scaling by 10**6 would underflow a bounded context
+    pytest.param("1e-99999999", id="1e-99999999"),
 ])
-def test_fraction_below_a_base_unit_rejected_at_any_length(tmp_path, amount):
-    bad = dict(GOOD, open_close_fee_rate=amount)
+def test_fraction_below_a_base_unit_rejected_at_any_length(tmp_path, literal):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(dict(GOOD, open_close_fee_rate="@")).replace('"@"', literal))
     with pytest.raises(ConfigError, match="6 fractional digits"):
-        load_market_config(write(tmp_path, bad))
+        load_market_config(str(path))
 
 
 def test_negative_zero_coefficient_reads_as_positive_zero(tmp_path):

@@ -63,10 +63,10 @@ def test_checker_finds_module_imports():
     assert not imports_module("import decimals\nfrom .decimal import x\n", "decimal")
 
 
-# Decimal parses input (money.to_units for Decimals and strings that are not
-# plain decimals, JSON fractions, the CLI, figure grids and prices); the engine,
-# the curves, the oracle and the vault compute in ints (and binary64 inside the
-# raw curves).
+# Decimal holds input numbers: a JSON fraction, which money.to_units converts
+# exactly (a string amount is parsed by int()), and the curve tables' flags,
+# params and grids. The engine, the curves, the oracle and the vault compute
+# in ints (and binary64 inside the raw curves).
 @pytest.mark.parametrize("name", ["engine.py", "curves.py", "oracle.py", "vault.py"])
 def test_computing_modules_do_not_import_decimal(name):
     assert not imports_module((PACKAGE / name).read_text(), "decimal")
@@ -118,3 +118,45 @@ def test_checker_finds_feed_names():
                                   if p.name != "oracle.py"], ids=lambda p: p.name)
 def test_only_the_oracle_names_the_feeds(path):
     assert feed_names(path.read_text()) == set()
+
+
+def text_opens_without_utf8(source: str) -> list[int]:
+    """Lines of the `open` and `os.fdopen` calls in text mode that do not pass
+    encoding="utf-8" (a mode with "b" is binary, which has no encoding)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id == "open"
+                or isinstance(func, ast.Attribute) and func.attr == "fdopen"
+                and isinstance(func.value, ast.Name) and func.value.id == "os"):
+            continue
+        keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        if isinstance(mode, ast.Constant) and "b" in mode.value:
+            continue
+        encoding = keywords.get("encoding")
+        if not (isinstance(encoding, ast.Constant) and encoding.value == "utf-8"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_finds_text_opens_without_utf8():
+    source = ("import os\n"
+              "open(p)\n"
+              "open(p, 'rb')\n"
+              "open(p, mode='wb')\n"
+              "open(p, 'w', encoding='utf-8')\n"
+              "open(p, newline='', encoding='latin-1')\n"
+              "os.fdopen(fd, 'w', newline='')\n"
+              "os.fdopen(fd, 'w', encoding='utf-8')\n"
+              "open(p, mode, encoding=enc)\n")
+    assert text_opens_without_utf8(source) == [2, 6, 7, 9]
+
+
+# Input and output files are UTF-8 whatever the locale: until Python 3.15 a
+# text-mode open() without encoding= decodes with the locale's encoding (PEP 686).
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_text_file_is_opened_as_utf8(path):
+    assert text_opens_without_utf8(path.read_text(encoding="utf-8")) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 from decimal import MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 
@@ -146,8 +147,9 @@ def test_format_units_matches_decimal(units):
     pytest.param(10**5000, "beyond", id="int-5001-digits"),
     pytest.param(-10**5000, "beyond", id="negative-int-5001-digits"),
     (10**24 + 1, "beyond"),
-    ("1e25", "beyond"),
-    ("Infinity", "finite"),
+    # a Decimal is a JSON number; a string is only the plain form
+    pytest.param(Decimal("1e25"), "beyond", id="1e25-beyond"),
+    pytest.param(Decimal("Infinity"), "finite", id="Infinity-finite"),
     # a JSON NaN, the one float an input holds, is not an amount
     pytest.param(float("nan"), "not a numeric", id="nan-finite"),
     ("abc", "not a decimal"),
@@ -226,4 +228,9 @@ spelled_amounts = st.one_of(
 @example("1." + "0" * 5000 + "1")
 @example("1E-1100010")
 def test_to_units_on_strings_matches_decimal_reference(text):
-    assert units_or_message(text) == reference_units(text)
+    # a string is an amount only in the plain form: every other spelling Decimal
+    # takes ("1e3", "+5", " 5 ", "1_000", "\u0663", ".5", "Infinity") is refused
+    if re.fullmatch(r"-?[0-9]+(\.[0-9]*)?", text):
+        assert units_or_message(text) == reference_units(text)
+    else:
+        assert units_or_message(text) == f"not a decimal amount: {text!r}"

@@ -224,6 +224,12 @@ def test_load_trace_takes_only_the_two_feeds(tmp_path, rows, message):
     ("10,primary,2000\n11,primary,2000,x", "line 3: expected 3 columns, got 4"),
     ("1.5,primary,2000", "line 2: bad timestamp '1.5'"),
     ("ten,primary,2000", "line 2: bad timestamp 'ten'"),
+    # a timestamp is ASCII digits, as int() alone would not require
+    (" 10,primary,2000", "line 2: bad timestamp ' 10'"),
+    ("+10,primary,2000", "line 2: bad timestamp '+10'"),
+    ("1_0,primary,2000", "line 2: bad timestamp '1_0'"),
+    ("\u0661\u0661,primary,2000", "line 2: bad timestamp '\u0661\u0661'"),
+    ("10 ,primary,2000", "line 2: bad timestamp '10 '"),
     (f"{MAX_TIMESTAMP + 1},primary,2000", f"line 2: timestamp beyond {MAX_TIMESTAMP}"),
     ("20,primary,2000\n10,primary,2001", "line 3: timestamps decrease (20 -> 10)"),
     ("10,primary,abc", "line 2: bad price 'abc'"),
@@ -234,7 +240,7 @@ def test_load_trace_takes_only_the_two_feeds(tmp_path, rows, message):
 ])
 def test_load_trace_row_messages(tmp_path, rows, message):
     path = tmp_path / "trace.csv"
-    path.write_text(f"timestamp,feed_id,price\n{rows}\n")
+    path.write_text(f"timestamp,feed_id,price\n{rows}\n", encoding="utf-8")
     with pytest.raises(TraceError) as info:
         load_trace(str(path))
     assert str(info.value) == message
