@@ -120,13 +120,12 @@ def compute_skew(long_oi: int, short_oi: int, pool_value: int) -> int:
 
 # -- Quoting -----------------------------------------------------------------
 
-def quote_nanos(price_nanos: int, u: float, p: DeviationParams) -> tuple[int, int]:
-    """(long, short) = price * (1 +/- delta/100) in 1e-9 units, exact, rounded once half-even.
+def quote_nanos(price_nanos: int, d: int) -> tuple[int, int]:
+    """(long, short) = price * (1 +/- d/100) in 1e-9 units, exact, rounded once half-even.
 
-    delta is `eval_deviation` at u.
+    d is the deviation in nanos of a percent, as `eval_deviation` gives it.
     """
-    d = eval_deviation(u, p)   # 10**11 nanos is 100%
-    if d >= 10**11:
+    if d >= 10**11:   # 10**11 nanos is 100%
         raise QuoteError(f"deviation {format_nanos(d)}% leaves no positive short quote")
     return (div_round_half_even(price_nanos * (10**11 + d), 10**11),
             div_round_half_even(price_nanos * (10**11 - d), 10**11))
@@ -136,7 +135,8 @@ def quote_prices_units(price_units: int, u: float, p: DeviationParams) -> tuple[
     """(long, short) quotes for a price in base units: 9-digit quotes, rounded half-even."""
     if price_units <= 0:
         raise DomainError("oracle price must be positive")
-    long_q, short_q = quote_nanos(price_units * 1000, u, p)   # 1000 nanos per base unit
+    # 1000 nanos per base unit
+    long_q, short_q = quote_nanos(price_units * 1000, eval_deviation(u, p))
     return div_round_half_even(long_q, 1000), div_round_half_even(short_q, 1000)
 
 

@@ -258,6 +258,9 @@ class Engine:
 
         self.pool = PoolState(0, 0, 0, 0, 0)
         self.treasury = 0
+        # the open positions' collateral summed, kept with the open interest
+        # by `_write_settlement`, so a snapshot reads it without a scan
+        self.open_collateral = 0
         self.positions: dict[int, Position] = {}
         self.orders: dict[int, Order] = {}
         self.escrow: dict[int, int] = {}
@@ -267,11 +270,6 @@ class Engine:
         self._fires_above: list[tuple[int, int]] = []
         self._next_order_id = 1
         self._next_position_id = 1
-
-    # -- state views ------------------------------------------------------------
-
-    def open_collateral_total(self) -> int:
-        return sum(p.collateral for p in self.positions.values())
 
     # -- accrual -------------------------------------------------------------------
 
@@ -434,9 +432,11 @@ class Engine:
         self._remove_order(order)
         return receipt
 
-    def _write_settlement(self, pool: PoolState, cut: int, net: int) -> None:
-        """A settlement's writes after its last check: pool, treasury cut, vault flow."""
+    def _write_settlement(self, pool: PoolState, cut: int, net: int, collateral: int) -> None:
+        """A settlement's writes after its last check: pool, open collateral (by
+        the position's collateral, opened or closed), treasury cut, vault flow."""
         self.pool = pool
+        self.open_collateral += collateral
         self.treasury += cut
         if net >= 0:
             self.vault.credit(net)
@@ -462,7 +462,7 @@ class Engine:
         if after.reserved > self.vault.total_assets + fee - cut:
             raise InsufficientLiquidity("pool too small to reserve this notional")
 
-        self._write_settlement(after, cut, fee - cut)
+        self._write_settlement(after, cut, fee - cut, net_collateral)
         position = Position(self._next_position_id, order.owner, order.direction,
                             order.size, net_collateral, exec_price,
                             _side_index(pool, order.direction))
@@ -498,7 +498,7 @@ class Engine:
         if self.vault.total_assets + net < after.reserved:
             raise InsolventVault("pool below reserved liquidity after payout")
 
-        self._write_settlement(after, cut, net)
+        self._write_settlement(after, cut, net, -pos.collateral)
         del self.positions[pos.position_id]
         return SettlementReceipt(executed_price=exec_price, open_close_fee=close_fee,
                                  borrow_fee_paid=borrow_collected, realized_pnl=pnl,

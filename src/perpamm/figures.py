@@ -7,10 +7,12 @@ Four table kinds:
 * ``base_fee``: base borrowing fee, one column per coefficient;
 * ``dynamic_fee``: dynamic borrowing fee over skew, one column per steepness.
 
-Grid points are exact decimals (``lo:hi:step`` must divide evenly). A
-coefficient-table value is the raw binary64 curve value printed once with
-nine fractional digits (:func:`~perpamm.money.format9`), the same bytes as
-quantizing it first, so the files are stable golden artifacts.
+Grid points are exact decimals (``lo:hi:step`` must divide evenly); a
+label is a point's plain decimal text, and x the double of that text. A
+column is the raw binary64 curve over every x, bound-checked once
+(:func:`~perpamm.money.check9`), and the body prints in one printf-style
+pass: a curve value with :data:`~perpamm.money.FORMAT9`, the bytes
+``format9`` gives, so the files are stable golden artifacts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation
-from itertools import repeat
+from itertools import chain, repeat
 
 from .config import coefficient, read_fields
 from .curves import (
@@ -32,7 +34,7 @@ from .curves import (
     sigmoid,
 )
 from .errors import DomainError, InvalidGrid
-from .money import format9, format_nanos
+from .money import FORMAT9, check9, format_nanos, nanos9_all
 
 MAX_GRID_POINTS = 10**6   # a table row per point: bounds the time and memory one table takes
 
@@ -77,7 +79,11 @@ class Grid:
 @dataclass(frozen=True)
 class FigureTable:
     header: list[str]
-    rows: list[list[str]]
+    body: str   # the CSV lines after the header, each ending in "\n"
+
+    @property
+    def rows(self) -> list[list[str]]:
+        return [line.split(",") for line in self.body.splitlines()]
 
 
 def emit_figure_data(kind: str, params: dict, grid: Grid) -> FigureTable:
@@ -114,8 +120,17 @@ def _numbers(value) -> list[Decimal]:
     return [_number(v) for v in (value if isinstance(value, list) else [value])]
 
 
-def _labels(points: list[Decimal]) -> list[str]:
-    return [format(point, "f") for point in points]
+def _labels(grid: Grid) -> tuple[list[str], list[float]]:
+    """Each grid point's label, its plain decimal text, and its double, parsed
+    from that text: the same exact decimal as the point, so the same double."""
+    labels = list(map(format, grid.points(), repeat("f")))
+    return labels, list(map(float, labels))
+
+
+def _body(row_format: str, labels: list[str], columns: list) -> str:
+    """Every row in one printf-style pass: row_format takes a label, then one
+    value from each column."""
+    return (row_format * len(labels)) % tuple(chain.from_iterable(zip(labels, *columns)))
 
 
 # a 9-digit value has at most 50 significant digits; a longer price is a DomainError
@@ -136,14 +151,19 @@ def _deviation_price(params: dict, grid: Grid) -> FigureTable:
         raise InvalidGrid("deviation_price takes exactly one k_delta")
     p = DeviationParams(k_delta=coefficient(k_deltas[0]),
                         c_d=coefficient(params.get("c_d", 0)))
-    price_text = format_nanos(price_nanos)
-    points = grid.points()
-    quotes = map(quote_nanos, repeat(price_nanos), map(float, points), repeat(p))
-    rows = [[label, price_text, format_nanos(long_q), format_nanos(short_q)]
-            for label, (long_q, short_q) in zip(_labels(points), quotes)]
+    labels, xs = _labels(grid)
+    for x in xs:
+        check_utilization(x)
+    deviations = list(map(parabola, xs, repeat(p.k_delta), repeat(p.c_d)))
+    check9(deviations)
+    long_q, short_q = zip(*map(quote_nanos, repeat(price_nanos), nanos9_all(deviations)))
+    # a quote is a non-negative count of nanos: whole and fraction print as ints
+    columns = [*zip(*map(divmod, long_q, repeat(10**9))),
+               *zip(*map(divmod, short_q, repeat(10**9)))]
+    row_format = f"%s,{format_nanos(price_nanos)},%d.%09d,%d.%09d\n"
     return FigureTable(
         header=["utilization", "oracle_price", "deviated_price_long", "deviated_price_short"],
-        rows=rows)
+        body=_body(row_format, labels, columns))
 
 
 def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_key: str,
@@ -160,14 +180,16 @@ def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_ke
     ks = [coefficient(c) for c in coefficients]
     for k in ks:
         params_type(**{key: k, const_key: const})
-    points = grid.points()
-    xs = list(map(float, points))
+    labels, xs = _labels(grid)
     for x in xs:
         check(x)
     # each value is the raw binary64 curve printed once: format9(quantize9(v)) == format9(v)
-    columns = [map(format9, map(raw, xs, repeat(k), repeat(const))) for k in ks]
+    columns = [list(map(raw, xs, repeat(k), repeat(const))) for k in ks]
+    for column in columns:
+        check9(column)
     return FigureTable(header=[x_name] + [f"{label}{c}" for c in coefficients],
-                       rows=list(map(list, zip(_labels(points), *columns))))
+                       body=_body(",".join(["%s"] + [FORMAT9] * len(ks)) + "\n",
+                                  labels, columns))
 
 
 # kind -> the arguments of _coefficient_table after (params, grid)

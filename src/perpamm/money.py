@@ -7,7 +7,11 @@ oracle deviation bands) is exact integer cross-multiplication.
 
 Utilization, skew, deviation and rates are int counts of 1e-9 percent
 ("nanos"); a binary64 curve output becomes one through its own correctly
-rounded ``.9f`` digits, round-half-even (:func:`nanos9`). An input amount
+rounded ``.9f`` digits (:data:`FORMAT9`), round-half-even (:func:`nanos9`,
+or :func:`nanos9_all` for a column). Only a magnitude below 10**41 has such
+digits: the scalar functions check it per value, :func:`check9` once per
+column. An int prints as fixed point from its own decimal digits
+(:func:`format_units`, :func:`format_nanos`). An input amount
 (:func:`to_units`) is an int, a plain decimal string, which ``int()`` parses,
 or a Decimal, which only a JSON number gives; a float, which only a JSON
 ``NaN`` or ``Infinity`` gives, is not an amount.
@@ -144,8 +148,8 @@ def to_units(value) -> int:
 
 def _fixed_point(n: int, digits: int) -> str:
     """Integer n scaled by 10**-digits, printed with exactly that many digits."""
-    whole, frac = divmod(abs(n), 10**digits)
-    return f"{'-' if n < 0 else ''}{whole}.{frac:0{digits}d}"
+    text = str(abs(n)).rjust(digits + 1, "0")   # at least one digit before the point
+    return f"{'-' if n < 0 else ''}{text[:-digits]}.{text[-digits:]}"
 
 
 def format_units(units: int) -> str:
@@ -160,16 +164,33 @@ def format_nanos(nanos: int) -> str:
 
 # -- 9-digit quantization of curve outputs ---------------------------------------
 
-# A 9-digit value has at most 50 significant digits: its magnitude is below 10**41.
-# Comparing a float or an int against this int is exact.
-_FIXED9_BOUND = 10**41
+# A double's 9-digit value: its `.9f` digits, which Python rounds correctly,
+# half-even. The one conversion, for a scalar (`FORMAT9 % x`) and for a
+# whole table in one printf-style pass.
+FORMAT9 = "%.9f"
+# A 9-digit value has at most 50 significant digits: its magnitude is below
+# 10**41. float(10**41) is above 10**41 and the next double below it is under,
+# so for a double x, abs(x) < _BOUND9 exactly when abs(x) < 10**41; NaN and the
+# infinities fail it.
+_BOUND9 = float(10**41)
+
+
+def _no_value9(x: float) -> DomainError:
+    return DomainError(f"{x:.6g} has no 9-digit fixed-point value")
 
 
 def _fixed9(x: float) -> str:
     # `not <` also rejects NaN and the infinities
-    if not abs(x) < _FIXED9_BOUND:
-        raise DomainError(f"{x:.6g} has no 9-digit fixed-point value")
-    return f"{x:.9f}"
+    if not abs(x) < _BOUND9:
+        raise _no_value9(x)
+    return FORMAT9 % x
+
+
+def check9(xs) -> None:
+    """Refuse a sequence of doubles unless each has a 9-digit value, naming the
+    first that has none as `format9` would; `FORMAT9` then prints every one."""
+    if not all(map(_BOUND9.__gt__, map(abs, xs))):
+        raise _no_value9(next(x for x in xs if not abs(x) < _BOUND9))
 
 
 def quantize9(x: float) -> float:
@@ -185,3 +206,8 @@ def format9(x: float) -> str:
 def nanos9(x: float) -> int:
     """The 9-digit value of x as an integer count of 1e-9: its `.9f` digits, exact."""
     return int(_fixed9(x).replace(".", "", 1))
+
+
+def nanos9_all(xs) -> list[int]:
+    """nanos9 of each value of a sequence that `check9` passed, in one pass."""
+    return list(map(int, ((FORMAT9 + " ") * len(xs) % tuple(xs)).replace(".", "").split()))

@@ -169,10 +169,13 @@ class RunResult:
 # -- Scenario loading -----------------------------------------------------------
 
 def _accounts(value) -> list[str]:
-    # a name is a receipt's CSV cell: a bare CR or a lone surrogate would break the file
+    # a name is a receipt's unquoted CSV cell: a "," or '"' would shift or open a
+    # cell, a bare CR would split the row and a lone surrogate has no UTF-8
     if not (isinstance(value, list)
-            and all(isinstance(a, str) and a and a.isprintable() for a in value)):
-        raise ValueError("must be a list of non-empty printable account names")
+            and all(isinstance(a, str) and a and a.isprintable()
+                    and "," not in a and '"' not in a for a in value)):
+        raise ValueError("must be a list of non-empty printable account names "
+                         "with no comma or double quote")
     return value
 
 
@@ -294,7 +297,7 @@ class _Runner:
             vault_shares=engine.vault.total_shares,
             share_price=engine.vault.share_price(),
             open_positions=len(engine.positions),
-            open_collateral=engine.open_collateral_total(),
+            open_collateral=engine.open_collateral,
             treasury=engine.treasury,
         ))
 
@@ -458,14 +461,18 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
-def write_csv_atomic(path: str, header: list[str], rows) -> None:
-    """Write a CSV via temp-file + atomic rename; LF line endings."""
-    import csv
+def write_csv_atomic(path: str, header: list[str], lines) -> None:
+    """Write a CSV via temp-file + atomic rename: the header's cells joined by
+    ",", then `lines`, an iterable of rows already so joined, each ending in
+    "\\n" (LF line endings), written as it yields them.
 
+    No cell is quoted, since none can need it: an account name holds no ",",
+    '"' or line break (`_accounts` refuses them), and numbers, error codes,
+    action kinds, grid labels and a Decimal's str never do.
+    """
     def write(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
     _write_atomic(path, write)
 
@@ -476,9 +483,9 @@ def write_outputs(result: RunResult, out_dir: str, inputs: dict[str, str]) -> No
 
     os.makedirs(out_dir, exist_ok=True)
     write_csv_atomic(os.path.join(out_dir, "snapshots.csv"), SNAPSHOT_HEADER,
-                     (row.as_csv() for row in result.snapshots))
+                     (",".join(row.as_csv()) + "\n" for row in result.snapshots))
     write_csv_atomic(os.path.join(out_dir, "receipts.csv"), RECEIPT_HEADER,
-                     (row.as_csv() for row in result.receipts))
+                     (",".join(row.as_csv()) + "\n" for row in result.receipts))
 
     digests = {}
     for name, path in sorted(inputs.items()):

@@ -48,7 +48,7 @@ def ledger_sum(cash: dict[str, int], engine: Engine) -> int:
     vault assets and treasury. Every flow moves money between these, so the sum
     stays where it started (0 when the accounts start with no cash)."""
     return (sum(cash.values()) + sum(engine.escrow.values())
-            + engine.open_collateral_total() + engine.vault.total_assets
+            + engine.open_collateral + engine.vault.total_assets
             + engine.treasury)
 
 

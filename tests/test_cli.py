@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perpamm.cli import main
+from perpamm.figures import Grid, emit_figure_data
 from perpamm.money import MAX_TIMESTAMP
+from perpamm.scenario import RECEIPT_HEADER, SNAPSHOT_HEADER, run_files
 from test_random_scenarios import SRC
 from test_scenario import FRICTIONLESS, act, both_feeds, build
 
@@ -432,6 +438,49 @@ def test_curves_negative_zero_coefficient_prints_zero(tmp_path, flags):
     assert [row[1:] for row in rows] == [["0.000000000"]] * 3
 
 
+def csv_cells(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+# an account name the scenario reader takes: printable, with no "," or '"'
+account_names = st.text(st.characters(blacklist_characters=',"'), min_size=1,
+                        max_size=6).filter(str.isprintable)
+
+
+@settings(max_examples=30, deadline=None)
+@given(names=st.lists(account_names, min_size=1, max_size=3, unique=True))
+def test_csv_reader_reads_back_every_cell_of_a_run(names):
+    with tempfile.TemporaryDirectory() as directory:
+        tmp_path = Path(directory)
+        scenario = build(tmp_path, trace_rows=both_feeds(0, 2000) + both_feeds(60, 2000),
+                         accounts=names, interval=30,
+                         actions=[act(0, name, "deposit", assets="1000.5") for name in names]
+                         + [act(60, names[-1], "redeem", shares=10**9)])
+        code, out_dir = run_in(tmp_path, "out")
+        assert code == 0
+        result = run_files(scenario)
+        assert csv_cells(out_dir / "snapshots.csv") == [SNAPSHOT_HEADER] + [
+            row.as_csv() for row in result.snapshots]
+        assert csv_cells(out_dir / "receipts.csv") == [RECEIPT_HEADER] + [
+            row.as_csv() for row in result.receipts]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("deviation_price", {"price": "1672.91", "k_delta": ["0.000654"], "c_d": "0.403676"}),
+    ("deviation_pct", {"k_delta": ["0.0001", "0.00025"], "c_d": "-0"}),
+    ("base_fee", {"k_b": ["0.0325", "1E-3"], "c_b": "2.5"}),
+    ("dynamic_fee", {"steepness": ["0.0125", "0.0325"], "m_max": "500"}),
+])
+def test_csv_reader_reads_back_every_cell_of_a_curve_table(tmp_path, kind, params):
+    (tmp_path / "params.json").write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert main(["curves", "--kind", kind, "--params", str(tmp_path / "params.json"),
+                 "--grid", "0:100:0.25", "--out", str(out)]) == 0
+    table = emit_figure_data(kind, params, Grid.parse("0:100:0.25"))
+    assert csv_cells(out) == [table.header] + table.rows
+
+
 DELETE = object()   # in a READER_ROWS row: the key is removed, not set
 
 # Every JSON object read from outside, each with an unknown key, a missing
@@ -461,6 +510,10 @@ READER_ROWS = [
     ("scenario.json", ("accounts",), ["lp", "lp\rx"], "ScenarioError"),
     ("scenario.json", ("accounts",), ["lp", "lp\ud800"], "ScenarioError"),
     ("scenario.json", ("accounts",), ["lp", ""], "ScenarioError"),
+    # the CSV writer quotes no cell: a "," would shift the row's cells and a
+    # '"' would open a quoted cell
+    ("scenario.json", ("accounts",), ["lp", "a,b"], "ScenarioError"),
+    ("scenario.json", ("accounts",), ["lp", 'say "hi"'], "ScenarioError"),
     ("scenario.json", ("snapshot_interval",), -1, "ScenarioError"),
     ("scenario.json", ("market_config",), 5, "ScenarioError"),
     ("scenario.json", ("price_trace",), ["a"], "ScenarioError"),

@@ -138,7 +138,7 @@ def _outcome(fn, *args):
 @example(price_nanos=2 * 10**12, u=0.0, kd=0.0, cd=99.9999999995)
 def test_quote_nanos_equals_the_quantize9_formula(price_nanos, u, kd, cd):
     p = DeviationParams(kd, cd)
-    assert _outcome(quote_nanos, price_nanos, u, p) == _outcome(
+    assert _outcome(lambda: quote_nanos(price_nanos, eval_deviation(u, p))) == _outcome(
         quote_nanos_reference, price_nanos, u, p)
 
 
@@ -157,7 +157,7 @@ def test_quote_rejects_non_positive_price():
 )
 def test_quote_midpoint_is_exactly_the_oracle_price(price, u, kd, cd):
     price_nanos = int(Fraction(price) * 10**9)
-    long_q, short_q = quote_nanos(price_nanos, u, DeviationParams(kd, cd))
+    long_q, short_q = quote_nanos(price_nanos, eval_deviation(u, DeviationParams(kd, cd)))
     assert long_q + short_q == 2 * price_nanos
     assert long_q >= price_nanos >= short_q
 
@@ -172,8 +172,8 @@ def test_quote_midpoint_is_exactly_the_oracle_price(price, u, kd, cd):
 def test_deviated_quotes_are_exact_half_even_roundings(price, delta):
     """price * (1 +/- delta/100), rounded once half-even to 9 digits, at any 9-digit price."""
     # at u = 0 the deviation is the constant c_d, here the 9-digit delta
-    long_q, short_q = quote_nanos(int(Fraction(price) * 10**9), 0,
-                                  DeviationParams(0.0, float(delta)))
+    long_q, short_q = quote_nanos(int(Fraction(price) * 10**9),
+                                  eval_deviation(0, DeviationParams(0.0, float(delta))))
     exact_shift = Fraction(price) * Fraction(delta) / 100
     assert long_q == round((Fraction(price) + exact_shift) * 10**9)
     assert short_q == round((Fraction(price) - exact_shift) * 10**9)
@@ -181,8 +181,8 @@ def test_deviated_quotes_are_exact_half_even_roundings(price, delta):
 
 def test_deviated_quote_of_a_long_price_is_not_rounded_at_28_digits():
     # 1234567890123456789012.5 * (1 + 0.746481...% ) needs more than 28 digits
-    long_q, _ = quote_nanos(1234567890123456789012_500000000, 77.7,
-                            DeviationParams(0.000123456, 0.123456789))
+    long_q, _ = quote_nanos(1234567890123456789012_500000000,
+                            eval_deviation(77.7, DeviationParams(0.000123456, 0.123456789)))
     assert format_nanos(long_q).endswith(".773972628")
 
 

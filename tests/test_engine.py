@@ -726,7 +726,7 @@ def fingerprint(engine: Engine):
     return (
         engine.vault.total_assets, engine.vault.total_shares,
         dict(engine.vault.balances), dict(engine.positions), dict(engine.orders),
-        dict(engine.escrow), engine.pool, engine.treasury,
+        dict(engine.escrow), engine.pool, engine.open_collateral, engine.treasury,
         engine._next_order_id, engine._next_position_id,
         list(engine._fires_below), list(engine._fires_above),
     )

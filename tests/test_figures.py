@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from decimal import Decimal
 
 import pytest
@@ -15,10 +17,13 @@ from perpamm.curves import (
     eval_base_fee,
     eval_deviation,
     eval_dynamic_fee,
+    parabola,
+    quote_nanos,
+    sigmoid,
 )
 from perpamm.errors import DomainError, InvalidGrid
 from perpamm.figures import FIGURE_PARAMS, Grid, emit_figure_data
-from perpamm.money import format9, format_nanos, quantize9
+from perpamm.money import check9, format9, format_nanos, quantize9
 from test_scenario import count_calls
 
 
@@ -120,10 +125,12 @@ def test_coefficient_table_prints_each_value_once(monkeypatch, kind):
     params = {key: [D("0.0125"), D("0.0225"), D("0.0325")], const_key: D("1.5")}
     quantized = count_calls(monkeypatch, quantize9)
     formatted = count_calls(monkeypatch, format9)
+    checked = count_calls(monkeypatch, check9)
     table = emit_figure_data(kind, params, Grid.parse("0:100:0.5"))
     assert len(table.rows) == 201
-    assert quantized[0] == 0
-    assert formatted[0] == 201 * 3
+    # the table prints each column with FORMAT9 in one pass, bound-checked once
+    assert quantized[0] == formatted[0] == 0
+    assert checked[0] == 3
 
 
 coefficients = st.decimals(min_value=D("0.000000001"), max_value=D("100000"), places=9)
@@ -143,6 +150,53 @@ def test_coefficient_table_cells_are_the_engine_curve(kind, ks, const, lo, step,
     series = [make(float(k), float(const)) for k in ks]
     for point, row in zip(grid.points(), table.rows):
         assert row == [format(point, "f")] + [format_nanos(curve(float(point), p)) for p in series]
+
+
+# kind -> the raw curve a coefficient table prints, as raw(x, coefficient, constant)
+RAW_CURVES = {"deviation_pct": parabola, "base_fee": parabola, "dynamic_fee": sigmoid}
+
+
+def reference_rows(kind: str, params: dict, grid: Grid) -> list[list[str]]:
+    """A table's rows as first written: each cell printed on its own, by format9
+    (the raw curve) or format_nanos (a quote)."""
+    points = grid.points()
+    if kind == "deviation_price":
+        price_nanos = int(params["price"] * 10**9)   # the test's prices have 9 places
+        p = DeviationParams(float(params["k_delta"][0]), float(params["c_d"]))
+        return [[format(point, "f"), format_nanos(price_nanos),
+                 *map(format_nanos, quote_nanos(price_nanos, eval_deviation(float(point), p)))]
+                for point in points]
+    key, const_key, _, _ = ENGINE_CURVES[kind]
+    const = float(params[const_key])
+    return [[format(point, "f")] + [format9(RAW_CURVES[kind](float(point), float(k), const))
+                                    for k in params[key]]
+            for point in points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(FIGURE_PARAMS)),
+       ks=st.lists(coefficients, min_size=1, max_size=3),
+       const=st.decimals(min_value=0, max_value=D("1000"), places=6),
+       price=st.decimals(min_value=D("0.000000001"), max_value=D("1e15"), places=9),
+       lo=st.integers(0, 5000),
+       # a point of 1E-7 has str() "1E-7": a label is the plain decimal text
+       step=st.sampled_from(["0.0000001", "0.005", "0.1", "0.25", "1", "2.5"]),
+       count=st.integers(1, 20))
+def test_table_is_the_one_printed_cell_by_cell(kind, ks, const, price, lo, step, count):
+    """The one-pass body is the file csv.writer wrote from cells printed one by one."""
+    first, step_ = D(lo) / 100, D(step)
+    grid = Grid.parse(f"{first}:{first + step_ * (count - 1)}:{step}")
+    if kind == "deviation_price":   # a deviation below 95% at every point
+        params = {"price": price, "k_delta": [min(ks[0], D("0.009"))], "c_d": const % 5}
+    else:
+        key, const_key, _, _ = ENGINE_CURVES[kind]
+        params = {key: ks, const_key: const}
+    table = emit_figure_data(kind, params, grid)
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(reference_rows(kind, params, grid))
+    assert ",".join(table.header) + "\n" + table.body == reference.getvalue()
 
 
 def test_negative_skew_grid_is_the_curve_domain_error():

@@ -10,6 +10,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "perpamm"
 
 
+def read(path: Path) -> str:
+    """A source file's text: UTF-8, whatever the locale's encoding."""
+    return path.read_text(encoding="utf-8")
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads (a name in `__all__` counts as read)."""
     tree = ast.parse(source)
@@ -40,7 +45,7 @@ def test_checker_finds_unused_imports():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_has_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(read(path)) == []
 
 
 def imports_module(source: str, module: str) -> bool:
@@ -69,7 +74,7 @@ def test_checker_finds_module_imports():
 # in ints (and binary64 inside the raw curves).
 @pytest.mark.parametrize("name", ["engine.py", "curves.py", "oracle.py", "vault.py"])
 def test_computing_modules_do_not_import_decimal(name):
-    assert not imports_module((PACKAGE / name).read_text(), "decimal")
+    assert not imports_module(read(PACKAGE / name), "decimal")
 
 
 def names_used(source: str) -> set[str]:
@@ -96,7 +101,7 @@ def test_checker_finds_names_used():
 # format9) stay out of the modules that compute and print them.
 @pytest.mark.parametrize("name", ["engine.py", "curves.py", "vault.py", "scenario.py"])
 def test_nano_modules_do_not_use_float_quantizing(name):
-    assert not {"quantize9", "format9"} & names_used((PACKAGE / name).read_text())
+    assert not {"quantize9", "format9"} & names_used(read(PACKAGE / name))
 
 
 def feed_names(source: str) -> set[str]:
@@ -109,7 +114,7 @@ def test_checker_finds_feed_names():
     assert feed_names("x = 'primary'\ndef f(feed='secondary'):\n    pass\n") == {
         "primary", "secondary"}
     assert feed_names('"""The primary feed."""\nx = "primary_feed"\n') == set()
-    assert feed_names((PACKAGE / "oracle.py").read_text()) == {"primary", "secondary"}
+    assert feed_names(read(PACKAGE / "oracle.py")) == {"primary", "secondary"}
 
 
 # A market settles against exactly two feeds, and `oracle` names them once
@@ -117,7 +122,7 @@ def test_checker_finds_feed_names():
 @pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
                                   if p.name != "oracle.py"], ids=lambda p: p.name)
 def test_only_the_oracle_names_the_feeds(path):
-    assert feed_names(path.read_text()) == set()
+    assert feed_names(read(path)) == set()
 
 
 def text_opens_without_utf8(source: str) -> list[int]:
@@ -159,4 +164,4 @@ def test_checker_finds_text_opens_without_utf8():
 # text-mode open() without encoding= decodes with the locale's encoding (PEP 686).
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_text_file_is_opened_as_utf8(path):
-    assert text_opens_without_utf8(path.read_text(encoding="utf-8")) == []
+    assert text_opens_without_utf8(read(path)) == []

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from perpamm.errors import ConfigError, DomainError
 from perpamm.money import (
+    FORMAT9,
     MAX_UNITS,
+    check9,
     format9,
     format_nanos,
     format_units,
     nanos9,
+    nanos9_all,
     quantize9,
     to_units,
 )
@@ -135,6 +138,65 @@ def test_non_finite_has_no_nine_digit_value(x):
         quantize9(x)
     with pytest.raises(DomainError):
         nanos9(x)
+
+
+def first_error9(xs: list[float]) -> str | None:
+    """The message of the first value of xs that scalar format9 refuses, or None."""
+    for x in xs:
+        try:
+            format9(x)
+        except DomainError as exc:
+            return str(exc)
+    return None
+
+
+def check9_error(xs: list[float]) -> str | None:
+    try:
+        check9(xs)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+EDGES9 = _doubles_around(10**41) + [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("x", EDGES9)
+def test_check9_refuses_exactly_what_format9_refuses(x):
+    assert check9_error([x]) == first_error9([x])
+    assert check9_error([0.5, x, -x, 1e300]) == first_error9([0.5, x, -x, 1e300])
+
+
+@settings(max_examples=500)
+@given(st.lists(st.one_of(finite_doubles, st.sampled_from(EDGES9)), max_size=6))
+def test_check9_names_the_first_value_format9_refuses(xs):
+    assert check9_error(xs) == first_error9(xs)
+    if check9_error(xs) is None:   # then the column prints as format9 prints each value
+        assert (FORMAT9 + ",") * len(xs) % tuple(xs) == "".join(f"{format9(x)}," for x in xs)
+        assert nanos9_all(xs) == [nanos9(x) for x in xs]
+
+
+def fixed_point_reference(n: int, digits: int) -> str:
+    """A fixed-point print as first written: divmod and a nested format spec."""
+    whole, frac = divmod(abs(n), 10**digits)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
+FIXED_POINT_EDGES = [0] + [sign * n for sign in (1, -1)
+                           for n in [1] + [10**k - 1 for k in range(1, 82)]]
+
+
+def test_fixed_point_prints_as_the_divmod_form_at_every_width():
+    for n in FIXED_POINT_EDGES:
+        assert format_units(n) == fixed_point_reference(n, 6)
+        assert format_nanos(n) == fixed_point_reference(n, 9)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.integers(-10**80, 10**80), st.integers(-10**12, 10**12)))
+def test_fixed_point_prints_as_the_divmod_form(n):
+    assert format_units(n) == fixed_point_reference(n, 6)
+    assert format_nanos(n) == fixed_point_reference(n, 9)
 
 
 @settings(max_examples=500)

@@ -12,7 +12,8 @@ Each example runs the CLI twice and `run_files` once. The exit code is 0,
 or 1 with one InsolventVault line; the two output directories are byte-
 identical; and the result conserves money, keeps reserved == long OI +
 short OI <= pool value in every snapshot, and ends with a snapshot at the
-time of the last receipt and the last accrual.
+time of the last receipt and the last accrual. csv.reader reads back
+from each CSV file exactly the cells of its header and rows.
 
 A few fixed scenarios (the golden one and two drawn cases) also run through
 `python -m perpamm.cli run` in two fresh processes, under PYTHONHASHSEED 1
@@ -22,6 +23,7 @@ and 2: the output bytes must not depend on the string-hash seed.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -35,7 +37,7 @@ from hypothesis import strategies as st
 from conftest import ledger_sum
 from perpamm.cli import main
 from perpamm.money import format_units, pct_of, to_units
-from perpamm.scenario import run_files
+from perpamm.scenario import RECEIPT_HEADER, SNAPSHOT_HEADER, run_files
 import test_scenario
 from test_stateful import (ASSETS, BAND, DIRECTIONS, DT, LEVERAGE, LPS, MOVE, OFFSET, PICK,
                            SIZE, TRADERS, shifted)
@@ -242,6 +244,11 @@ def run_cli(argv: list[str], out_dir: str) -> dict[str, bytes]:
     return files
 
 
+def csv_cells(data: bytes) -> list[list[str]]:
+    """The cells csv.reader reads from a written file's bytes."""
+    return list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=cases())
 def test_random_scenarios_through_the_runner(case):
@@ -251,6 +258,10 @@ def test_random_scenarios_through_the_runner(case):
         assert run_cli(argv, os.path.join(directory, "b")) == first
         result = run_files(os.path.join(directory, "scenario.json"))
     assert json.loads(first["manifest.json"])["halted"] is result.halted
+    assert csv_cells(first["snapshots.csv"]) == [SNAPSHOT_HEADER] + [
+        row.as_csv() for row in result.snapshots]
+    assert csv_cells(first["receipts.csv"]) == [RECEIPT_HEADER] + [
+        row.as_csv() for row in result.receipts]
     assert ledger_sum(result.cash, result.engine) == 0
     for snap in result.snapshots:
         assert snap.reserved == snap.long_oi + snap.short_oi <= snap.pool_value

@@ -39,10 +39,12 @@ FRICTIONLESS = {
 
 def build(tmp_path, *, trace_rows, actions, config=None, interval=0,
           accounts=("lp", "trader"), extra=None):
-    (tmp_path / "market.json").write_text(json.dumps(config or FRICTIONLESS))
+    """Write market.json, trace.csv and scenario.json (UTF-8, whatever the
+    locale) under tmp_path; return the scenario's path."""
+    (tmp_path / "market.json").write_text(json.dumps(config or FRICTIONLESS), encoding="utf-8")
     lines = ["timestamp,feed_id,price"]
     lines += [f"{t},{feed},{price}" for t, feed, price in trace_rows]
-    (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     scenario = {
         "market_config": "market.json",
         "price_trace": "trace.csv",
@@ -52,7 +54,7 @@ def build(tmp_path, *, trace_rows, actions, config=None, interval=0,
     }
     scenario.update(extra or {})
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(json.dumps(scenario), encoding="utf-8")
     return str(path)
 
 

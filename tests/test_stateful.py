@@ -325,6 +325,11 @@ class EngineMachine(RuleBasedStateMachine):
         assert sum(engine.vault.balances.values()) == engine.vault.total_shares
 
     @invariant()
+    def open_collateral_is_the_positions_sum(self):
+        engine = self.engine
+        assert engine.open_collateral == sum(p.collateral for p in engine.positions.values())
+
+    @invariant()
     def fees_match_the_exact_model(self):
         """Each index accrued to now and each owed fee equal the exact model.
 
