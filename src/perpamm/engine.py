@@ -82,8 +82,10 @@ class OrderKind(enum.Enum):
     TAKE_PROFIT = "take_profit"
 
 
-OPEN_KINDS = frozenset({OrderKind.MARKET_OPEN, OrderKind.LIMIT_OPEN})
-TRIGGER_KINDS = frozenset({OrderKind.LIMIT_OPEN, OrderKind.STOP_LOSS, OrderKind.TAKE_PROFIT})
+# tuples, not sets: `in` compares members by identity, where a set would call
+# the Python-level Enum.__hash__
+OPEN_KINDS = (OrderKind.MARKET_OPEN, OrderKind.LIMIT_OPEN)
+TRIGGER_KINDS = (OrderKind.LIMIT_OPEN, OrderKind.STOP_LOSS, OrderKind.TAKE_PROFIT)
 
 
 class PoolState(NamedTuple):
@@ -523,14 +525,16 @@ class Engine:
         for both sides alike."""
         pool = self._accrued(now)
         try:   # each side's mark once: longs sell, shorts buy
-            marks = {Direction.LONG: self._aggregate_mark(TradeSide.SELL, now),
-                     Direction.SHORT: self._aggregate_mark(TradeSide.BUY, now)}
+            long_mark = self._aggregate_mark(TradeSide.SELL, now)
+            short_mark = self._aggregate_mark(TradeSide.BUY, now)
         except (StaleFeed, DeviationTooHigh):
             return list(self.positions)
         # ids only grow and deleting from a dict keeps insertion order, so
         # `positions` is already in id order
+        long = Direction.LONG
         return [pid for pid, pos in self.positions.items()
-                if check_liquidation(pos, pool, self.config, marks[pos.direction])]
+                if check_liquidation(pos, pool, self.config,
+                                     long_mark if pos.direction is long else short_mark)]
 
     # -- triggers ------------------------------------------------------------------------
 

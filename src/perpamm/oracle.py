@@ -26,6 +26,7 @@ from .money import MAX_TIMESTAMP, UNIT_SCALE, to_units
 
 TRACE_HEADER = ["timestamp", "feed_id", "price"]
 PRIMARY, SECONDARY = FEEDS = ("primary", "secondary")   # a trace's only feed ids
+_FEED_IDS = {feed: feed for feed in FEEDS}   # a row's feed text -> the shared string
 
 
 class TradeSide(enum.Enum):
@@ -109,7 +110,10 @@ def aggregate(
 def load_trace(path: str) -> list[PricePoint]:
     """Parse a UTF-8 `timestamp,feed_id,price` CSV of positive plain-decimal prices
     of the feeds `primary` and `secondary`; timestamps are ASCII digits,
-    nondecreasing and within [0, MAX_TIMESTAMP]. A defect is one TraceError."""
+    nondecreasing and within [0, MAX_TIMESTAMP]. A defect is one TraceError.
+
+    Each point holds its feed's `FEEDS` string, and rows with the same stamp
+    text share one int, checked once, so a point costs little beyond itself."""
     points: list[PricePoint] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -117,29 +121,34 @@ def load_trace(path: str) -> list[PricePoint]:
             header = next(reader, None)
             if header != TRACE_HEADER:
                 raise TraceError(f"expected header {TRACE_HEADER}, got {header}")
-            last_ts = 0     # timestamps are checked to be >= 0 first
+            # the last checked stamp text and its int, which every row that
+            # repeats the text shares; times are checked to be >= 0 first
+            last_stamp, ts = None, 0
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != 3:
                     raise TraceError(f"line {lineno}: expected 3 columns, got {len(row)}")
                 stamp, feed, amount = row
-                try:
-                    # isascii() confines isdigit() to 0-9; int() alone would take " 1", "+1", "1_0"
-                    if not (stamp.isascii() and stamp.removeprefix("-").isdigit()):
-                        raise ValueError
-                    ts = int(stamp)     # also refuses a string past int()'s digit limit
-                except ValueError:
-                    raise TraceError(f"line {lineno}: bad timestamp {stamp!r}") from None
-                if ts > MAX_TIMESTAMP:
-                    raise TraceError(f"line {lineno}: timestamp beyond {MAX_TIMESTAMP}")
-                if ts < 0:
-                    raise TraceError(f"line {lineno}: negative publish time for feed {feed!r}")
-                if ts < last_ts:
-                    raise TraceError(
-                        f"line {lineno}: timestamps decrease ({last_ts} -> {ts})")
-                last_ts = ts
-                if feed not in FEEDS:
+                if stamp != last_stamp:
+                    try:
+                        # isascii() confines isdigit() to 0-9; int() alone would take " 1", "+1", "1_0"
+                        if not (stamp.isascii() and stamp.removeprefix("-").isdigit()):
+                            raise ValueError
+                        new_ts = int(stamp)     # also refuses a string past int()'s digit limit
+                    except ValueError:
+                        raise TraceError(f"line {lineno}: bad timestamp {stamp!r}") from None
+                    if new_ts > MAX_TIMESTAMP:
+                        raise TraceError(f"line {lineno}: timestamp beyond {MAX_TIMESTAMP}")
+                    if new_ts < 0:
+                        raise TraceError(
+                            f"line {lineno}: negative publish time for feed {feed!r}")
+                    if new_ts < ts:
+                        raise TraceError(
+                            f"line {lineno}: timestamps decrease ({ts} -> {new_ts})")
+                    last_stamp, ts = stamp, new_ts
+                feed_id = _FEED_IDS.get(feed)
+                if feed_id is None:
                     raise TraceError(f"line {lineno}: unknown feed {feed!r} "
                                      f"(expected {PRIMARY!r} or {SECONDARY!r})")
                 try:
@@ -148,7 +157,7 @@ def load_trace(path: str) -> list[PricePoint]:
                     raise TraceError(f"line {lineno}: bad price {amount!r}") from None
                 if price <= 0:
                     raise TraceError(f"line {lineno}: non-positive price for feed {feed!r}")
-                points.append(PricePoint(feed, price, ts))
+                points.append(PricePoint(feed_id, price, ts))
         except UnicodeDecodeError as exc:
             raise TraceError(f"trace is not valid text: {exc}") from None
         except csv.Error as exc:    # a field past csv's size limit, a NUL byte, ...

@@ -5,6 +5,8 @@ to a time-ordered list of actor actions. Events at the same timestamp apply
 in a fixed order: price updates, trigger evaluation, explicit actions in
 declaration order, then a due snapshot; fees accrue inside the engine calls
 and the snapshot. Replaying identical inputs yields byte-identical outputs.
+The runner walks the trace and the actions in time order as loaded, so each
+must be sorted by time; `load_trace` and `parse_scenario` refuse any other.
 The trace holds points of the feeds `oracle.FEEDS` only, and the trigger
 pass takes the primary's latest price as its mark.
 
@@ -26,6 +28,8 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import groupby, pairwise, starmap
+from operator import attrgetter, le
 from typing import NamedTuple
 
 from .config import load_market_config, non_empty_string, read_fields, read_json, seconds
@@ -48,6 +52,21 @@ def _share(value) -> int:
     return share
 
 
+def _member(enum_type):
+    """A parser of `enum_type`'s members by value: a dict lookup, which spares
+    each action the Python-level `Enum.__new__` of `enum_type(value)` and
+    refuses what it refuses, an unhashable value too, in its words."""
+    members = {member.value: member for member in enum_type}
+
+    def parse(value):
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            raise ValueError(f"{value!r} is not a valid {enum_type.__name__}") from None
+
+    return parse
+
+
 def _id(value) -> int:
     if type(value) is not int:
         raise ValueError(f"not an integer id: {type(value).__name__}")
@@ -59,10 +78,11 @@ def _id(value) -> int:
 ACTION_PARAMS = {
     "deposit": ({"assets": _amount}, ("assets",)),
     "redeem": ({"shares": _amount}, ("shares",)),
-    "create_order": ({"kind": OrderKind, "direction": Direction, "size": _amount,
-                      "collateral": _amount, "acceptable_price": _amount,
-                      "max_slippage": _amount, "trigger_price": _amount,
-                      "position_id": _id}, ("kind", "direction")),
+    "create_order": ({"kind": _member(OrderKind), "direction": _member(Direction),
+                      "size": _amount, "collateral": _amount,
+                      "acceptable_price": _amount, "max_slippage": _amount,
+                      "trigger_price": _amount, "position_id": _id},
+                     ("kind", "direction")),
     "settle_order": ({"order_id": _id}, ("order_id",)),
     "cancel_order": ({"order_id": _id}, ("order_id",)),
     "liquidate_check": ({"position_id": _id}, ()),
@@ -238,6 +258,12 @@ def load_scenario(path: str) -> Scenario:
 
 # -- Action dispatch ---------------------------------------------------------------
 
+_POINT_TIME = attrgetter("publish_time")
+_ACTION_TIME = attrgetter("time")
+_NEVER = float("inf")     # the head time of a spent stream
+_DONE = (_NEVER, ())
+
+
 class _Halt(Exception):
     """Stops the run after an InsolventVault row; not a ProtocolError, so no
     handler on the way records it again."""
@@ -304,34 +330,49 @@ class _Runner:
     # event loop ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        by_time_points: dict[int, list[PricePoint]] = {}
-        for point in self.trace:
-            by_time_points.setdefault(point.publish_time, []).append(point)
-        by_time_actions: dict[int, list[Action]] = {}
-        for action in self.scenario.actions:
-            by_time_actions.setdefault(action.time, []).append(action)
+        """Apply every event in time order, as the module docstring lays out.
 
-        timeline = sorted(set(by_time_points) | set(by_time_actions))
+        The trace and the actions must each be sorted by time, as `load_trace`
+        and `parse_scenario` leave them: the run walks them as two streams of
+        equal-time groups, each step taking the earlier head time, and holds
+        no copy of either. A list out of order raises ValueError before any
+        event applies.
+        """
+        trace, actions = self.trace, self.scenario.actions
+        for name, items, key in (("trace", trace, _POINT_TIME),
+                                 ("actions", actions, _ACTION_TIME)):
+            if not all(starmap(le, pairwise(map(key, items)))):
+                raise ValueError(f"the {name} must be sorted by time")
+        ingest = self.engine.feeds.ingest
+        point_groups = groupby(trace, _POINT_TIME)
+        action_groups = groupby(actions, _ACTION_TIME)
+        point_time, points = next(point_groups, _DONE)
+        action_time, time_actions = next(action_groups, _DONE)
+        t = start = next_due = min(point_time, action_time)
         interval = self.scenario.snapshot_interval
-        next_due = timeline[0] if timeline else 0
         halted = False
 
-        for t in timeline:
-            for point in by_time_points.get(t, ()):      # 1. price updates
-                self.engine.feeds.ingest(point)
+        while t != _NEVER:
+            if point_time == t:
+                for point in points:                     # 1. price updates
+                    ingest(point)
+                point_time, points = next(point_groups, _DONE)
             try:
                 self._run_triggers(t)                    # 2. trigger evaluation
-                for action in by_time_actions.get(t, ()):  # 3. explicit actions
-                    self._dispatch(action)
+                if action_time == t:
+                    for action in time_actions:          # 3. explicit actions
+                        self._dispatch(action)
+                    action_time, time_actions = next(action_groups, _DONE)
             except _Halt:
                 self._snapshot(t)                        # 4. snapshot, then stop
                 halted = True
                 break
-            if interval == 0 or t >= next_due or t == timeline[-1]:
+            following = min(point_time, action_time)
+            if interval == 0 or t >= next_due or following == _NEVER:
                 self._snapshot(t)                        # 4. snapshot, if due
                 if interval > 0:
-                    start = timeline[0]
                     next_due = start + ((t - start) // interval + 1) * interval
+            t = following
 
         return RunResult(snapshots=self.snapshots, receipts=self.receipts,
                          engine=self.engine, cash=self.cash, halted=halted)
@@ -477,6 +518,9 @@ def write_csv_atomic(path: str, header: list[str], lines) -> None:
     _write_atomic(path, write)
 
 
+HASH_BLOCK = 1 << 16   # bytes of an input read at a time to hash it
+
+
 def write_outputs(result: RunResult, out_dir: str, inputs: dict[str, str]) -> None:
     """Write snapshots.csv, receipts.csv, and a deterministic manifest.json."""
     import hashlib
@@ -489,8 +533,11 @@ def write_outputs(result: RunResult, out_dir: str, inputs: dict[str, str]) -> No
 
     digests = {}
     for name, path in sorted(inputs.items()):
-        with open(path, "rb") as fh:
-            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:   # in blocks: an input is never held whole
+            for block in iter(lambda: fh.read(HASH_BLOCK), b""):
+                digest.update(block)
+        digests[name] = digest.hexdigest()
     manifest = {
         "inputs": digests,
         "halted": result.halted,

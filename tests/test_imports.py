@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,3 +168,25 @@ def test_checker_finds_text_opens_without_utf8():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_text_file_is_opened_as_utf8(path):
     assert text_opens_without_utf8(read(path)) == []
+
+
+# Only a replay's manifest hashes its inputs, and `write_outputs` imports
+# hashlib itself: its OpenSSL costs about 3.6 MB of resident memory, which a
+# `perpamm curves` process never pays.
+CURVES_WITHOUT_HASHLIB = """\
+import sys
+from perpamm.cli import main
+code = main(["curves", "--kind", "base_fee", "--kb", "0.0325", "--cb", "0",
+             "--grid", "0:100:1", "--out", sys.argv[1]])
+print(code, sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_a_curves_table_does_not_load_hashlib(tmp_path):
+    out = tmp_path / "fees.csv"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CURVES_WITHOUT_HASHLIB, str(out)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 []\n")
+    assert out.read_text(encoding="utf-8").splitlines()[-1] == "100,325.000000000"

@@ -9,6 +9,8 @@ import pytest
 from perpamm.errors import DeviationTooHigh, DomainError, StaleFeed, TraceError
 from perpamm.money import MAX_TIMESTAMP, to_units
 from perpamm.oracle import (
+    PRIMARY,
+    SECONDARY,
     FeedStore,
     OracleConfig,
     PricePoint,
@@ -239,6 +241,45 @@ def test_load_trace_takes_only_the_two_feeds(tmp_path, rows, message):
     ("-5,primary,2000", "line 2: negative publish time for feed 'primary'"),
 ])
 def test_load_trace_row_messages(tmp_path, rows, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"timestamp,feed_id,price\n{rows}\n", encoding="utf-8")
+    with pytest.raises(TraceError) as info:
+        load_trace(str(path))
+    assert str(info.value) == message
+
+
+def test_load_trace_points_share_the_feed_strings_and_each_stamp(tmp_path):
+    """A point holds the FEEDS string itself, not csv's copy, and rows with
+    the same stamp text share one int."""
+    stamp = MAX_TIMESTAMP - 7     # past the interpreter's cache of small ints
+    path = tmp_path / "trace.csv"
+    path.write_text("timestamp,feed_id,price\n"
+                    f"{stamp},primary,2000\n{stamp},secondary,2001\n"
+                    f"{stamp + 1},secondary,2002\n{stamp + 1},primary,2003\n"
+                    f"{stamp + 1},primary,2004\n", encoding="utf-8")
+    points = load_trace(str(path))
+    assert [p.feed_id for p in points] == [PRIMARY, SECONDARY, SECONDARY, PRIMARY, PRIMARY]
+    assert all(p.feed_id is PRIMARY or p.feed_id is SECONDARY for p in points)
+    first, second = points[:2], points[2:]
+    assert all(p.publish_time is first[0].publish_time for p in first)
+    assert all(p.publish_time is second[0].publish_time for p in second)
+    assert [p.publish_time for p in points] == [stamp] * 2 + [stamp + 1] * 3
+
+
+# each defect comes after rows that repeat one stamp, whose checks then ran once
+@pytest.mark.parametrize("rows, message", [
+    ("10,primary,2000\n10,secondary,2000\nx,primary,2000", "line 4: bad timestamp 'x'"),
+    ("10,primary,2000\n10,secondary,2000\n9,primary,2000",
+     "line 4: timestamps decrease (10 -> 9)"),
+    ("10,primary,2000\n10,secondary,2000\n-1,primary,2000",
+     "line 4: negative publish time for feed 'primary'"),
+    ("10,primary,2000\n10,secondary,2000\n010,primary,2000\n9,primary,2000",
+     "line 5: timestamps decrease (10 -> 9)"),
+    ("10,primary,2000\n10,A,2000", "line 3: unknown feed 'A' (expected 'primary' or 'secondary')"),
+    ("10,primary,2000\n10,secondary,0", "line 3: non-positive price for feed 'secondary'"),
+    ("10,primary,2000\n 10,primary,2000", "line 3: bad timestamp ' 10'"),
+])
+def test_load_trace_checks_each_row_after_a_repeated_stamp(tmp_path, rows, message):
     path = tmp_path / "trace.csv"
     path.write_text(f"timestamp,feed_id,price\n{rows}\n", encoding="utf-8")
     with pytest.raises(TraceError) as info:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import sys
+from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import perpamm.curves
 import perpamm.engine
@@ -13,11 +19,12 @@ import perpamm.scenario
 from conftest import feed_both, ledger_sum, make_config, make_engine
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, pool_metrics
-from perpamm.errors import ScenarioError
+from perpamm.errors import InsolventVault, ScenarioError
 from perpamm.money import MAX_TIMESTAMP, SECONDS_PER_YEAR, to_units
+from perpamm.oracle import FEEDS, PRIMARY, PricePoint
 from perpamm.scenario import (
-    ACTION_KINDS, ACTION_PARAMS, Action, Scenario, _Runner, load_scenario, parse_scenario,
-    run_files, write_outputs)
+    ACTION_KINDS, ACTION_PARAMS, HASH_BLOCK, Action, RunResult, Scenario, _Runner,
+    load_scenario, parse_scenario, run_files, write_outputs)
 
 U = to_units
 
@@ -723,3 +730,151 @@ def test_parse_scenario_action_messages(actions, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(raw)
     assert str(info.value) == message
+
+
+# -- The timeline ---------------------------------------------------------------------
+
+def timeline_by_grouping(trace, actions, interval, halt):
+    """The events of a run, by the dict-of-lists grouping of every time's points
+    and actions that the runner used before it walked its inputs as two
+    streams: the reference order."""
+    by_time_points: dict = {}
+    for point in trace:
+        by_time_points.setdefault(point.publish_time, []).append(point)
+    by_time_actions: dict = {}
+    for action in actions:
+        by_time_actions.setdefault(action.time, []).append(action)
+    timeline = sorted(set(by_time_points) | set(by_time_actions))
+    next_due = timeline[0] if timeline else 0
+    events = []
+    for t in timeline:
+        events += [("ingest", point.price) for point in by_time_points.get(t, ())]
+        events.append(("triggers", t))
+        halted = halt == ("triggers", t)
+        for action in [] if halted else by_time_actions.get(t, ()):
+            events.append(("dispatch", action.seq))
+            if halt == ("dispatch", action.seq):
+                halted = True
+                break
+        if halted:
+            events.append(("snapshot", t))
+            break
+        if interval == 0 or t >= next_due or t == timeline[-1]:
+            events.append(("snapshot", t))
+            if interval > 0:
+                next_due = timeline[0] + ((t - timeline[0]) // interval + 1) * interval
+    return events
+
+
+class RecordingRunner(_Runner):
+    """A runner that records each event in place of applying it: a point's
+    ingest (by its price, its index in the trace), a trigger pass, an action's
+    dispatch (by its seq) and a snapshot. At the event `halt` it fails with
+    InsolventVault, which halts the run."""
+
+    def __init__(self, trace, actions, interval, halt=None):
+        self.events: list[tuple] = []
+        self.halt = halt
+        feeds = SimpleNamespace(ingest=lambda point: self.events.append(("ingest", point.price)))
+        super().__init__(Scenario("market.json", "trace.csv", actions, interval, ["a"]),
+                         SimpleNamespace(feeds=feeds), trace)
+
+    def _record(self, event, time) -> None:
+        self.events.append(event)
+        if event == self.halt:
+            self._failed(time, "a", event[0], InsolventVault("the vault cannot pay"))
+
+    def _run_triggers(self, t: int) -> None:
+        self._record(("triggers", t), t)
+
+    def _dispatch(self, action: Action) -> None:
+        self._record(("dispatch", action.seq), action.time)
+
+    def _snapshot(self, time: int) -> None:
+        self.events.append(("snapshot", time))
+
+
+@st.composite
+def timelines(draw):
+    """A sorted trace and action list over a few times, so that times are often
+    shared, a snapshot interval, and the event to halt at (or None)."""
+    point_times = sorted(draw(st.lists(st.integers(0, 12), max_size=12)))
+    action_times = sorted(draw(st.lists(st.integers(0, 12), max_size=12)))
+    trace = [PricePoint(draw(st.sampled_from(FEEDS)), index, t)
+             for index, t in enumerate(point_times)]
+    actions = [Action(seq, t, "a", "deposit", {}) for seq, t in enumerate(action_times)]
+    interval = draw(st.integers(0, 5))
+    halts = ([("dispatch", seq) for seq in range(len(actions))]
+             + [("triggers", t) for t in sorted(set(point_times + action_times))])
+    halt = draw(st.one_of(st.none(), st.sampled_from(halts))) if halts else None
+    return trace, actions, interval, halt
+
+
+def points_at(*times):
+    return [PricePoint(PRIMARY, index, t) for index, t in enumerate(times)]
+
+
+def actions_at(*times):
+    return [Action(seq, t, "a", "deposit", {}) for seq, t in enumerate(times)]
+
+
+@given(timelines())
+@example(([], [], 0, None))
+@example((points_at(0, 0, 5), [], 0, None))
+@example(([], actions_at(3, 3, 9), 4, None))
+@example((points_at(1, 1, 4, 7), actions_at(1, 4, 4, 4, 6), 3, ("dispatch", 2)))
+@example((points_at(1, 4, 4), actions_at(0, 4, 4), 0, ("triggers", 4)))
+def test_the_runner_walks_the_timeline_of_the_grouping(timeline):
+    """Points, the trigger pass, the actions in order and a due snapshot at
+    each time, in time order; a halt snapshots its time and ends the run."""
+    trace, actions, interval, halt = timeline
+    runner = RecordingRunner(trace, actions, interval, halt)
+    result = runner.run()
+    assert runner.events == timeline_by_grouping(trace, actions, interval, halt)
+    assert result.halted == (halt in runner.events)
+    assert [r.status for r in result.receipts] == ["InsolventVault"] * result.halted
+
+
+@pytest.mark.parametrize("trace, actions, name", [
+    (points_at(0, 5, 4), actions_at(0, 9), "trace"),
+    (points_at(0, 5), actions_at(3, 9, 9, 8), "actions"),
+])
+def test_run_refuses_inputs_out_of_time_order(trace, actions, name):
+    runner = RecordingRunner(trace, actions, 0)
+    with pytest.raises(ValueError, match=f"^the {name} must be sorted by time$"):
+        runner.run()
+    assert runner.events == []     # refused before any event applies
+    scenario = Scenario("market.json", "trace.csv", actions, 0, ["a"])
+    with pytest.raises(ValueError, match=f"^the {name} must be sorted by time$"):
+        perpamm.scenario.run(scenario, make_config(), trace)
+
+
+@pytest.mark.parametrize("enum_type, key", [(OrderKind, "kind"), (Direction, "direction")])
+def test_enum_params_read_and_refuse_as_the_enum_does(enum_type, key):
+    parse = ACTION_PARAMS["create_order"][0][key]
+    for member in enum_type:
+        assert parse(member.value) is member
+    for value in ["x", "", "LONG", "Long", 3, 1.5, Decimal("2"), None, True, [1], {},
+                  ["long"], {"kind": "market_open"}]:
+        with pytest.raises(ValueError) as expected:
+            enum_type(value)
+        with pytest.raises(ValueError) as got:
+            parse(value)
+        assert str(got.value) == str(expected.value)
+
+
+def test_the_manifest_hashes_inputs_of_any_size(tmp_path):
+    """Each digest is the sha256 of the whole file, read a block at a time."""
+    rng = random.Random(7)
+    sizes = {"empty": 0, "small": 100, "block": HASH_BLOCK, "large": 2 * HASH_BLOCK + 123}
+    inputs = {}
+    for name, size in sizes.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(rng.randbytes(size))
+        inputs[name] = str(path)
+    result = RunResult(snapshots=[], receipts=[], engine=make_engine(), cash={})
+    write_outputs(result, str(tmp_path / "out"), inputs)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {
+        name: hashlib.sha256((tmp_path / f"{name}.bin").read_bytes()).hexdigest()
+        for name in sizes}
