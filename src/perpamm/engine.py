@@ -53,6 +53,7 @@ from .errors import (
     LeverageExceeded,
     NotLiquidatable,
     OpenInterestCapExceeded,
+    QuoteError,
     SlippageExceeded,
     StaleFeed,
     TriggerNotMet,
@@ -424,6 +425,8 @@ class Engine:
         long_q, short_q = quote_prices_units(mark, u, self.config.deviation)
         # buys take the long (ask) quote, sells the short (bid) quote
         exec_price = long_q if buying else short_q
+        if exec_price < 1:   # only a sell can quote below the mark
+            raise QuoteError(f"the short quote at mark {mark} rounds to 0 base units")
         self._check_slippage(side, exec_price, order.acceptable_price,
                              order.max_slippage)
 

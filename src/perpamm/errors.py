@@ -25,7 +25,8 @@ class ClockRegression(DomainError):
 
 
 class QuoteError(ProtocolError):
-    """Deviation of 100% or more: the short-side quote would be non-positive."""
+    """Deviation of 100% or more: the short-side quote would be non-positive.
+    A settlement also refuses a short quote that rounds below 1 base unit."""
 
 
 class ConfigError(ProtocolError):

@@ -7,19 +7,21 @@ Four table kinds:
 * ``base_fee``: base borrowing fee, one column per coefficient;
 * ``dynamic_fee``: dynamic borrowing fee over skew, one column per steepness.
 
-Grid points are exact decimals (``lo:hi:step`` must divide evenly); a
-label is a point's plain decimal text, and x the double of that text. A
-column is the raw binary64 curve over every x, bound-checked once
-(:func:`~perpamm.money.check9`), and the body prints in one printf-style
-pass: a curve value with :data:`~perpamm.money.FORMAT9`, the bytes
-``format9`` gives, so the files are stable golden artifacts.
+Grid points are exact decimals (``lo:hi:step`` must divide evenly, in 28
+digits with exponents within [-28, 28]); a label is a point's plain decimal
+text, and x the double of that text. A column is the raw binary64 curve over
+every x, bound-checked once (:func:`~perpamm.money.check9`), and the body
+prints in one printf-style pass: a curve value with
+:data:`~perpamm.money.FORMAT9`, the bytes ``format9`` gives, so the files
+are stable golden artifacts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation
+from decimal import (ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation,
+                     localcontext)
 from itertools import chain, repeat
 
 from .config import coefficient, read_fields
@@ -37,6 +39,16 @@ from .errors import DomainError, InvalidGrid
 from .money import FORMAT9, check9, format_nanos, nanos9_all
 
 MAX_GRID_POINTS = 10**6   # a table row per point: bounds the time and memory one table takes
+
+# Every signal traps: the grid's arithmetic is exact in 28 digits, with each
+# nonzero result's adjusted exponent within [-28, 28], or it is refused. So
+# a point is never rounded and its label is at most 58 characters.
+_GRID_CONTEXT = Context(prec=28, Emin=-28, Emax=28, traps=list(Context().traps))
+
+
+def _inexact(text: str) -> InvalidGrid:
+    return InvalidGrid(f"grid arithmetic must be exact in 28 digits, with exponents "
+                       f"within [-28, 28]: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -60,11 +72,12 @@ class Grid:
             raise InvalidGrid("grid step must be positive")
         if hi < lo:
             raise InvalidGrid("grid upper bound below lower bound")
-        try:   # DivisionImpossible: a quotient beyond the context's 28 digits
-            uneven = (hi - lo) % step != 0
-            points = (hi - lo) / step + 1
+        try:
+            with localcontext(_GRID_CONTEXT):
+                uneven = (hi - lo) % step != 0
+                points = (hi - lo) / step + 1
         except DecimalException:
-            raise InvalidGrid(f"grid has too many points: {text!r}") from None
+            raise _inexact(text) from None
         if uneven:
             raise InvalidGrid("grid step must divide the range evenly")
         if points > MAX_GRID_POINTS:
@@ -72,8 +85,12 @@ class Grid:
         return cls(lo, hi, step)
 
     def points(self) -> list[Decimal]:
-        count = int((self.hi - self.lo) / self.step)
-        return [self.lo + i * self.step for i in range(count + 1)]
+        lo, hi, step = self.lo, self.hi, self.step
+        try:
+            with localcontext(_GRID_CONTEXT):
+                return [lo + i * step for i in range(int((hi - lo) / step) + 1)]
+        except DecimalException:
+            raise _inexact(f"{lo}:{hi}:{step}") from None
 
 
 @dataclass(frozen=True)

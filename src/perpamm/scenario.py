@@ -20,6 +20,8 @@ continues, as are engine errors. A liquidation sweep tries only the positions
 `Engine.liquidatable` flags, so a healthy one writes no row. An InsolventVault
 error is fatal: the run halts after its row and that time's snapshot, with
 partial output flagged.
+The receipts are the one ledger of the accounts' money: an account's balance
+is the sum of its rows' `cash_delta`.
 """
 
 from __future__ import annotations
@@ -52,21 +54,6 @@ def _share(value) -> int:
     return share
 
 
-def _member(enum_type):
-    """A parser of `enum_type`'s members by value: a dict lookup, which spares
-    each action the Python-level `Enum.__new__` of `enum_type(value)` and
-    refuses what it refuses, an unhashable value too, in its words."""
-    members = {member.value: member for member in enum_type}
-
-    def parse(value):
-        try:
-            return members[value]
-        except (KeyError, TypeError):
-            raise ValueError(f"{value!r} is not a valid {enum_type.__name__}") from None
-
-    return parse
-
-
 def _id(value) -> int:
     if type(value) is not int:
         raise ValueError(f"not an integer id: {type(value).__name__}")
@@ -75,10 +62,11 @@ def _id(value) -> int:
 
 # action kind -> (a parser per param key, the keys it requires). A parser
 # returns the value the engine takes; each key is that call's keyword name.
+# An enum type parses its own values: an unknown one is its ValueError.
 ACTION_PARAMS = {
     "deposit": ({"assets": _amount}, ("assets",)),
     "redeem": ({"shares": _amount}, ("shares",)),
-    "create_order": ({"kind": _member(OrderKind), "direction": _member(Direction),
+    "create_order": ({"kind": OrderKind, "direction": Direction,
                       "size": _amount, "collateral": _amount,
                       "acceptable_price": _amount, "max_slippage": _amount,
                       "trigger_price": _amount, "position_id": _id},
@@ -179,10 +167,13 @@ RECEIPT_HEADER = list(ReceiptRow._fields)
 
 @dataclass
 class RunResult:
+    """A run's rows, its final engine, and whether an InsolventVault halted it.
+    The receipts are the run's only ledger of the accounts' money: an account's
+    balance is the sum of its rows' `cash_delta`, from 0 at the start."""
+
     snapshots: list[SnapshotRow]
     receipts: list[ReceiptRow]
     engine: Engine
-    cash: dict[str, int]
     halted: bool = False
 
 
@@ -275,20 +266,17 @@ class _Runner:
         self.scenario = scenario
         self.engine = engine
         self.trace = trace
-        self.cash: dict[str, int] = {name: 0 for name in scenario.accounts}
         self.receipts: list[ReceiptRow] = []
         self.snapshots: list[SnapshotRow] = []
 
     # receipts ----------------------------------------------------------------
-    # Each outcome is one row, appended by _emit, which also moves the actor's
-    # cash by the row's cash_delta; _failed is the one place an error becomes
-    # a row, and the one place a halt starts.
+    # Each outcome is one row, appended by _emit; a row's cash_delta is the one
+    # record of its actor's balance. _failed is the one place an error becomes a
+    # row, and the one place a halt starts.
 
     def _emit(self, time: int, actor: str, action: str, status: str, **fields) -> None:
-        row = ReceiptRow(len(self.receipts) + 1, time, actor, action, status, **fields)
-        self.receipts.append(row)
-        if row.cash_delta:
-            self.cash[actor] += row.cash_delta
+        self.receipts.append(
+            ReceiptRow(len(self.receipts) + 1, time, actor, action, status, **fields))
 
     def _failed(self, time: int, actor: str, action: str, exc: ProtocolError,
                 **ids) -> None:
@@ -375,7 +363,7 @@ class _Runner:
             t = following
 
         return RunResult(snapshots=self.snapshots, receipts=self.receipts,
-                         engine=self.engine, cash=self.cash, halted=halted)
+                         engine=self.engine, halted=halted)
 
     def _run_triggers(self, t: int) -> None:
         engine = self.engine
@@ -421,7 +409,7 @@ class _Runner:
 
     def _do_create_order(self, action: Action, params: dict) -> None:
         order_id = self.engine.create_order(action.actor, **params)
-        collateral = self.engine.escrow.get(order_id, 0)
+        collateral = params.get("collateral")   # an open's; a close takes none
         self._emit(action.time, action.actor, action.kind, "ok",
                    order_id=order_id,
                    cash_delta=-collateral if collateral else None)

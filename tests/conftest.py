@@ -52,6 +52,16 @@ def ledger_sum(cash: dict[str, int], engine: Engine) -> int:
             + engine.treasury)
 
 
+def receipt_cash(receipts) -> dict[str, int]:
+    """Each actor's cash, folded from a run's receipts: the sum of its rows'
+    `cash_delta`, the one record of it (every account starts with none)."""
+    cash: dict[str, int] = {}
+    for row in receipts:
+        if row.cash_delta is not None:
+            cash[row.actor] = cash.get(row.actor, 0) + row.cash_delta
+    return cash
+
+
 def make_engine(config: MarketConfig | None = None, **kw) -> Engine:
     return Engine(config if config is not None else make_config(), **kw)
 

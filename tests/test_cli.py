@@ -83,7 +83,7 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("deviation_price", ["--price", "1e400", "--kd", "0.0004"], "DomainError"),
     ("base_fee", ["--kb", "0.01", "--grid", "0:inf:1"], "InvalidGrid"),
     ("base_fee", ["--kb", "0.01", "--grid", "nan:1:1"], "InvalidGrid"),
-    ("base_fee", ["--kb", "0.01", "--grid", "0:1e30:1"], "InvalidGrid"),   # DivisionImpossible
+    ("base_fee", ["--kb", "0.01", "--grid", "0:1e30:1"], "InvalidGrid"),   # exponent above 28
     ("base_fee", ["--kb", "0.01", "--grid", "0:1e12:1"], "InvalidGrid"),   # above the row cap
     # a --params value is the file's text
     ("base_fee", ["--params", "{not json"], "InvalidGrid"),
@@ -105,6 +105,14 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
     ("dynamic_fee", ["--k", "0.01", "--m-max", "sNaN"], "DomainError"),
     ("deviation_price", ["--price", "2000", "--kd", "sNaN"], "DomainError"),
     ("base_fee", ["--params", '{"k_b": "sNaN"}'], "DomainError"),
+    # grid arithmetic is exact in 28 digits with exponents within [-28, 28], or refused:
+    # a rounded middle point, an overflow, an underflow, and a label of a million digits
+    ("dynamic_fee", ["--k", "0.01", "--grid",
+                     "1000000000000000000000000000:1000000000000000000000000001:0.5"],
+     "InvalidGrid"),
+    ("dynamic_fee", ["--k", "0.01", "--grid", "1e9999999:1e9999999:1"], "InvalidGrid"),
+    ("base_fee", ["--kb", "0.01", "--grid", "0:1e-9999999:1e-9999999"], "InvalidGrid"),
+    ("base_fee", ["--kb", "0.01", "--grid", "0:1e-999999:1e-999999"], "InvalidGrid"),
 ])
 def test_curves_non_finite_or_overflowing_input_is_one_error_line(
         tmp_path, capsys, kind, flags, code):
@@ -350,6 +358,33 @@ def test_run_deposit_into_a_drained_vault_is_a_receipt(tmp_path, capsys):
     assert rows[-1][3:5] == ["deposit", "DomainError"]
     last = (out_dir / "snapshots.csv").read_text().splitlines()[-1].split(",")
     assert (last[1], last[11]) == ("0.000000", "1000.000000")   # pool value, shares
+
+
+def test_run_sell_quote_rounding_to_zero_is_a_quote_error_receipt(tmp_path, capsys):
+    """At a 50% deviation a mark of 0.000001 quotes the bid at 0.0000005,
+    which rounds half-even to 0 base units: the short open's settlement is a
+    QuoteError row, no position opens, and the sweep after it has none to price."""
+    scenario = build(
+        tmp_path, config=dict(FRICTIONLESS, deviation={"k_delta": 0, "c_d": 50}),
+        trace_rows=both_feeds(0, "0.000001"),
+        actions=[
+            act(0, "lp", "deposit", assets=10000),
+            act(0, "trader", "create_order", kind="market_open", direction="short",
+                size=1, collateral=1, acceptable_price="0.000001", max_slippage=100),
+            act(0, "trader", "settle_order", order_id=1),
+            act(0, "lp", "liquidate_check"),
+        ])
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(tmp_path / "market.json"),
+                 "--trace", str(tmp_path / "trace.csv"),
+                 "--scenario", scenario, "--out-dir", str(out_dir)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    rows = [line.split(",") for line in
+            (out_dir / "receipts.csv").read_text().splitlines()[1:]]
+    assert [row[3:5] for row in rows] == [["deposit", "ok"], ["create_order", "ok"],
+                                          ["settle_order", "QuoteError"]]
+    last = (out_dir / "snapshots.csv").read_text().splitlines()[-1].split(",")
+    assert (last[2], last[13]) == ("0.000000", "0")   # reserved, open positions
 
 
 def test_run_missing_config_reports_error(tmp_path, capsys):

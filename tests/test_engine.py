@@ -41,6 +41,7 @@ from perpamm.errors import (
     NotLiquidatable,
     OpenInterestCapExceeded,
     ProtocolError,
+    QuoteError,
     SlippageExceeded,
     StaleFeed,
     TriggerNotMet,
@@ -288,6 +289,30 @@ def test_settle_beyond_slippage_reverts():
     with pytest.raises(SlippageExceeded):
         engine.settle_order(oid, 0)
     assert oid in engine.orders
+
+
+@pytest.mark.parametrize("direction", [Direction.SHORT, Direction.LONG])
+def test_a_sell_quote_below_one_base_unit_is_refused(direction):
+    """At a 50% deviation a mark of 1 base unit quotes the bid at 0.5, which
+    rounds half-even to 0: a short open or a long close there is a QuoteError
+    that writes nothing, while a buy at that mark takes the ask of 2."""
+    engine = make_engine(make_config(deviation=DeviationParams(0.0, 50.0)))
+    engine.vault.deposit("lp", U(10000))
+    if direction is Direction.SHORT:
+        fields = dict(kind=OrderKind.MARKET_OPEN, size=U(1), collateral=U(1))
+    else:
+        pid = open_position(engine, size=U(1), collateral=U(1))
+        fields = dict(kind=OrderKind.MARKET_CLOSE, position_id=pid)
+    feed_both(engine, 1, LATER)
+    oid = engine.create_order("t", direction=direction, acceptable_price=1,
+                              max_slippage=U(100), **fields)
+    before = fingerprint(engine)
+    with pytest.raises(QuoteError):
+        engine.settle_order(oid, LATER)
+    assert fingerprint(engine) == before
+    buy = engine.create_order("b", OrderKind.MARKET_OPEN, Direction.LONG, size=U(1),
+                              collateral=U(1), acceptable_price=2, max_slippage=0)
+    assert engine.settle_order(buy, LATER).executed_price == 2
 
 
 def test_favorable_move_never_trips_slippage(engine):

@@ -13,7 +13,9 @@ or 1 with one InsolventVault line; the two output directories are byte-
 identical; and the result conserves money, keeps reserved == long OI +
 short OI <= pool value in every snapshot, and ends with a snapshot at the
 time of the last receipt and the last accrual. csv.reader reads back
-from each CSV file exactly the cells of its header and rows.
+from each CSV file exactly the cells of its header and rows. Conservation
+is checked from the written receipts.csv: each account's cash is the sum of
+its `cash_delta` cells, so a delta the file drops is a failure.
 
 A few fixed scenarios (the golden one and two drawn cases) also run through
 `python -m perpamm.cli run` in two fresh processes, under PYTHONHASHSEED 1
@@ -249,6 +251,22 @@ def csv_cells(data: bytes) -> list[list[str]]:
     return list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
 
 
+def written_cash(receipts_csv: bytes) -> dict[str, int]:
+    """Each account's cash, folded from the cash_delta cells of a written receipts.csv."""
+    header, *rows = csv_cells(receipts_csv)
+    actor, delta = header.index("actor"), header.index("cash_delta")
+    cash: dict[str, int] = {}
+    for row in rows:
+        if row[delta]:
+            cash[row[actor]] = cash.get(row[actor], 0) + to_units(row[delta])
+    return cash
+
+
+def assert_conserved(receipts_csv: bytes, engine) -> None:
+    """The cash a written receipts.csv records, plus all the engine holds, is 0."""
+    assert ledger_sum(written_cash(receipts_csv), engine) == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=cases())
 def test_random_scenarios_through_the_runner(case):
@@ -262,7 +280,7 @@ def test_random_scenarios_through_the_runner(case):
         row.as_csv() for row in result.snapshots]
     assert csv_cells(first["receipts.csv"]) == [RECEIPT_HEADER] + [
         row.as_csv() for row in result.receipts]
-    assert ledger_sum(result.cash, result.engine) == 0
+    assert_conserved(first["receipts.csv"], result.engine)
     for snap in result.snapshots:
         assert snap.reserved == snap.long_oi + snap.short_oi <= snap.pool_value
     last = result.snapshots[-1].time
@@ -286,19 +304,23 @@ def run_with_hash_seed(argv: list[str], out_dir: str, hash_seed: str):
     return proc.returncode, proc.stderr, files
 
 
-def assert_same_bytes_across_hash_seeds(argv: list[str], directory: str) -> None:
+def assert_same_bytes_across_hash_seeds(argv: list[str], directory: str) -> dict[str, bytes]:
+    """The files, the same under both seeds."""
     first, second = (run_with_hash_seed(argv, os.path.join(directory, f"hash{seed}"), seed)
                      for seed in ("1", "2"))
-    code, err, _ = first
+    code, err, files = first
     assert (code, err) == (0, "") or (code == 1 and err.startswith("ERROR InsolventVault: "))
     assert second == first
+    return files
 
 
 def test_golden_scenario_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     test_scenario.test_golden_receipts_and_snapshots(tmp_path)   # writes its inputs there
+    scenario = str(tmp_path / "scenario.json")
     argv = ["run", "--config", str(tmp_path / "market.json"),
-            "--trace", str(tmp_path / "trace.csv"), "--scenario", str(tmp_path / "scenario.json")]
-    assert_same_bytes_across_hash_seeds(argv, str(tmp_path))
+            "--trace", str(tmp_path / "trace.csv"), "--scenario", scenario]
+    files = assert_same_bytes_across_hash_seeds(argv, str(tmp_path))
+    assert_conserved(files["receipts.csv"], run_files(scenario).engine)
 
 
 @settings(max_examples=2, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import perpamm.curves
 import perpamm.engine
 import perpamm.scenario
-from conftest import feed_both, ledger_sum, make_config, make_engine
+from conftest import feed_both, ledger_sum, make_config, make_engine, receipt_cash
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, pool_metrics
 from perpamm.errors import InsolventVault, ScenarioError
@@ -127,9 +127,10 @@ def test_cash_ledger_balances_to_zero(tmp_path):
         ])
     result = run_files(path)
     assert all(r.status == "ok" for r in result.receipts)
-    assert ledger_sum(result.cash, result.engine) == 0
+    cash = receipt_cash(result.receipts)
+    assert ledger_sum(cash, result.engine) == 0
     # trader pocketed the 50-unit gain, pool paid it
-    assert result.cash["trader"] == U(50)
+    assert cash["trader"] == U(50)
 
 
 def test_snapshot_interval_schedule(tmp_path):
@@ -637,10 +638,7 @@ def test_golden_receipts_and_snapshots(tmp_path):
     assert result.halted
     assert (tmp_path / "out" / "receipts.csv").read_text() == GOLDEN_RECEIPTS
     assert (tmp_path / "out" / "snapshots.csv").read_text() == GOLDEN_SNAPSHOTS
-    deltas = {name: 0 for name in ("lp", "trader", "bob")}
-    for row in result.receipts:
-        deltas[row.actor] += row.cash_delta or 0
-    assert result.cash == deltas
+    assert ledger_sum(receipt_cash(result.receipts), result.engine) == 0
 
 
 # -- Loader validation ------------------------------------------------------------------
@@ -872,7 +870,7 @@ def test_the_manifest_hashes_inputs_of_any_size(tmp_path):
         path = tmp_path / f"{name}.bin"
         path.write_bytes(rng.randbytes(size))
         inputs[name] = str(path)
-    result = RunResult(snapshots=[], receipts=[], engine=make_engine(), cash={})
+    result = RunResult(snapshots=[], receipts=[], engine=make_engine())
     write_outputs(result, str(tmp_path / "out"), inputs)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["inputs"] == {
