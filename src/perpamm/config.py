@@ -10,9 +10,10 @@ rejects is one error naming the object and the key.
 The config is a JSON object whose keys mirror the MarketConfig fields
 exactly, each section's keys its class's fields. Money, percent, and ratio
 values may be JSON numbers or plain decimal strings (`money.to_units`), read
-exactly (at most six fractional digits); curve coefficients are binary64. A
-MarketConfig and each of its sections check their own limits when built, so
-a config that loads is sound, and every defect is one ConfigError.
+exactly (at most six fractional digits); curve coefficients are binary64,
+each in [0, 10**24] (`curves`), so every fee the engine reads has a 9-digit
+value. A MarketConfig and each of its sections check their own limits when
+built, so a config that loads is sound, and every defect is one ConfigError.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 from decimal import Decimal
 
-from .curves import (BaseFeeParams, DeviationParams, DynamicFeeParams, eval_base_fee,
-                     eval_dynamic_fee)
-from .errors import ConfigError, DomainError, ProtocolError
+from .curves import BaseFeeParams, DeviationParams, DynamicFeeParams
+from .errors import ConfigError, ProtocolError
 from .money import UNIT_SCALE, to_units
 from .oracle import OracleConfig
 
@@ -56,14 +56,6 @@ class MarketConfig:
         # a fresh max-leverage position must not be instantly liquidatable
         if self.maintenance_margin_rate * self.max_leverage >= 100 * UNIT_SCALE * UNIT_SCALE:
             bad.append("maintenance_margin_rate * max_leverage must be < 100")
-        # utilization and skew never pass 100% (|L - S| <= reserved <= pool value)
-        # and both fee curves are nondecreasing, so a fee curve with a 9-digit
-        # value at 100% has one wherever the engine reads it
-        for name, curve in (("base_fee", eval_base_fee), ("dynamic_fee", eval_dynamic_fee)):
-            try:
-                curve(100.0, getattr(self, name))
-            except DomainError as exc:
-                bad.append(f"{name} at 100%: {exc}")
         if bad:
             raise ConfigError("invalid market config: " + "; ".join(bad))
 
@@ -99,7 +91,7 @@ def read_fields(obj, parsers: dict[str, Callable], required: Iterable[str],
 def coefficient(value) -> float:
     """A curve coefficient (an int or Decimal) as a double; -0 reads as +0.0, as
     the engine's nanos do. A signalling NaN, which float() refuses, reads as
-    NaN, so the params' finiteness check rejects both alike."""
+    NaN, so the params' coefficient bound rejects both alike."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise ValueError("must be a number")
     if isinstance(value, Decimal) and value.is_snan():

@@ -8,7 +8,9 @@ Pure functions over three parameter sets:
   to the side with the larger open interest.
 
 Utilization, skew, deviation and fee rates are all expressed on a 0-100
-percent scale; fee rates are annualized. Only the raw curves
+percent scale; fee rates are annualized. Each coefficient lies in
+[0, 10**24] (steepness > 0), checked when its params are built, so every
+curve value is finite and has a 9-digit form. Only the raw curves
 (:func:`parabola`, :func:`sigmoid`) run in binary64, on a binary64 percent.
 The ``eval_*`` curves, skew and borrow rates are int counts of 1e-9 percent
 ("nanos"), each rounded half-even once. Quotes are exact integer arithmetic
@@ -21,7 +23,17 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, QuoteError
-from .money import div_round_half_even, format_nanos, nanos9
+from .money import MAX_UNITS, UNIT_SCALE, div_round_half_even, format_nanos, nanos9
+
+
+def _check_coefficients(curve: str, *values: float) -> None:
+    """Each coefficient in [0, 10**24], the whole-unit bound of an input amount:
+    with utilization in [0, 100] and the sigmoid at most m_max, every curve
+    value is then below about 1.0001e28, finite, with a 9-digit form. The
+    comparison refuses NaN and the infinities too."""
+    bound = MAX_UNITS // UNIT_SCALE
+    if not all(0 <= v <= bound for v in values):
+        raise DomainError(f"{curve} parameters must be in [0, {bound:.0e}]")
 
 
 @dataclass(frozen=True)
@@ -32,10 +44,7 @@ class DeviationParams:
     c_d: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k_delta) and math.isfinite(self.c_d)):
-            raise DomainError("deviation parameters must be finite")
-        if self.k_delta < 0 or self.c_d < 0:
-            raise DomainError("deviation parameters must be non-negative")
+        _check_coefficients("deviation", self.k_delta, self.c_d)
 
 
 @dataclass(frozen=True)
@@ -46,10 +55,7 @@ class BaseFeeParams:
     c_b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k_b) and math.isfinite(self.c_b)):
-            raise DomainError("base fee parameters must be finite")
-        if self.k_b < 0 or self.c_b < 0:
-            raise DomainError("base fee parameters must be non-negative")
+        _check_coefficients("base fee", self.k_b, self.c_b)
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,7 @@ class DynamicFeeParams:
     steepness: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m_max) and math.isfinite(self.steepness)):
-            raise DomainError("dynamic fee parameters must be finite")
-        if self.m_max < 0:
-            raise DomainError("maximum dynamic fee must be non-negative")
+        _check_coefficients("dynamic fee", self.m_max, self.steepness)
         if self.steepness <= 0:
             raise DomainError("sigmoid steepness must be positive")
 
@@ -74,7 +77,7 @@ def check_utilization(u: float) -> None:
 
 
 def check_skew(skew_pct: float) -> None:
-    if skew_pct < 0:
+    if not skew_pct >= 0:   # `not >=` also refuses NaN
         raise DomainError(f"skew {skew_pct} must be non-negative")
 
 

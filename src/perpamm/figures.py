@@ -10,8 +10,8 @@ Four table kinds:
 Grid points are exact decimals (``lo:hi:step`` must divide evenly, in 28
 digits with exponents within [-28, 28]); a label is a point's plain decimal
 text, and x the double of that text. A column is the raw binary64 curve over
-every x, bound-checked once (:func:`~perpamm.money.check9`), and the body
-prints in one printf-style pass: a curve value with
+every x; the curve params bound each coefficient, so every value has a 9-digit
+form, and the body prints in one printf-style pass: a curve value with
 :data:`~perpamm.money.FORMAT9`, the bytes ``format9`` gives, so the files
 are stable golden artifacts.
 """
@@ -36,7 +36,7 @@ from .curves import (
     sigmoid,
 )
 from .errors import DomainError, InvalidGrid
-from .money import FORMAT9, check9, format_nanos, nanos9_all
+from .money import FORMAT9, format_nanos, nanos9_all
 
 MAX_GRID_POINTS = 10**6   # a table row per point: bounds the time and memory one table takes
 
@@ -172,7 +172,6 @@ def _deviation_price(params: dict, grid: Grid) -> FigureTable:
     for x in xs:
         check_utilization(x)
     deviations = list(map(parabola, xs, repeat(p.k_delta), repeat(p.c_d)))
-    check9(deviations)
     long_q, short_q = zip(*map(quote_nanos, repeat(price_nanos), nanos9_all(deviations)))
     # a quote is a non-negative count of nanos: whole and fraction print as ints
     columns = [*zip(*map(divmod, long_q, repeat(10**9))),
@@ -202,8 +201,6 @@ def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_ke
         check(x)
     # each value is the raw binary64 curve printed once: format9(quantize9(v)) == format9(v)
     columns = [list(map(raw, xs, repeat(k), repeat(const))) for k in ks]
-    for column in columns:
-        check9(column)
     return FigureTable(header=[x_name] + [f"{label}{c}" for c in coefficients],
                        body=_body(",".join(["%s"] + [FORMAT9] * len(ks)) + "\n",
                                   labels, columns))

@@ -8,13 +8,14 @@ oracle deviation bands) is exact integer cross-multiplication.
 Utilization, skew, deviation and rates are int counts of 1e-9 percent
 ("nanos"); a binary64 curve output becomes one through its own correctly
 rounded ``.9f`` digits (:data:`FORMAT9`), round-half-even (:func:`nanos9`,
-or :func:`nanos9_all` for a column). Only a magnitude below 10**41 has such
-digits: the scalar functions check it per value, :func:`check9` once per
-column. An int prints as fixed point from its own decimal digits
-(:func:`format_units`, :func:`format_nanos`). An input amount
-(:func:`to_units`) is an int, a plain decimal string, which ``int()`` parses,
-or a Decimal, which only a JSON number gives; a float, which only a JSON
-``NaN`` or ``Infinity`` gives, is not an amount.
+or :func:`nanos9_all` for a column). Every finite double has such digits,
+and a curve value is finite by construction: ``curves`` bounds each
+coefficient by the whole-unit bound of an amount, 10**24. An int prints as
+fixed point from its own decimal digits (:func:`format_units`,
+:func:`format_nanos`). An input amount (:func:`to_units`) is an int, a plain
+decimal string, which ``int()`` parses, or a Decimal, which only a JSON
+number gives; a float, which only a JSON ``NaN`` or ``Infinity`` gives, is
+not an amount.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 UNIT_SCALE = 10**6          # base units per whole money/percent/ratio unit
 SECONDS_PER_YEAR = 31_536_000   # 365-day year for annualized-rate conversion
@@ -30,7 +31,8 @@ SECONDS_PER_YEAR = 31_536_000   # 365-day year for annualized-rate conversion
 FEE_INDEX_SCALE = 100 * 10**9 * SECONDS_PER_YEAR
 # Latest timestamp, in seconds, a trace row or an action may carry (the largest
 # signed 64-bit int): it bounds the ints accrual forms, so a fee-index step,
-# rate nanos (below 10**50) * seconds, stays below 10**69.
+# rate nanos (below 10**38, as a coefficient is at most 10**24) * seconds,
+# stays below 10**57.
 MAX_TIMESTAMP = 2**63 - 1
 
 # exact for every finite Decimal: never rounds, overflows or underflows
@@ -164,50 +166,27 @@ def format_nanos(nanos: int) -> str:
 
 # -- 9-digit quantization of curve outputs ---------------------------------------
 
-# A double's 9-digit value: its `.9f` digits, which Python rounds correctly,
-# half-even. The one conversion, for a scalar (`FORMAT9 % x`) and for a
-# whole table in one printf-style pass.
+# A finite double's 9-digit value: its `.9f` digits, which Python rounds
+# correctly, half-even. The one conversion, for a scalar (`FORMAT9 % x`) and
+# for a whole table in one printf-style pass.
 FORMAT9 = "%.9f"
-# A 9-digit value has at most 50 significant digits: its magnitude is below
-# 10**41. float(10**41) is above 10**41 and the next double below it is under,
-# so for a double x, abs(x) < _BOUND9 exactly when abs(x) < 10**41; NaN and the
-# infinities fail it.
-_BOUND9 = float(10**41)
-
-
-def _no_value9(x: float) -> DomainError:
-    return DomainError(f"{x:.6g} has no 9-digit fixed-point value")
-
-
-def _fixed9(x: float) -> str:
-    # `not <` also rejects NaN and the infinities
-    if not abs(x) < _BOUND9:
-        raise _no_value9(x)
-    return FORMAT9 % x
-
-
-def check9(xs) -> None:
-    """Refuse a sequence of doubles unless each has a 9-digit value, naming the
-    first that has none as `format9` would; `FORMAT9` then prints every one."""
-    if not all(map(_BOUND9.__gt__, map(abs, xs))):
-        raise _no_value9(next(x for x in xs if not abs(x) < _BOUND9))
 
 
 def quantize9(x: float) -> float:
     """Value quantized to 9 fractional digits, round-half-even, returned as float."""
-    return float(_fixed9(x))
+    return float(FORMAT9 % x)
 
 
 def format9(x: float) -> str:
     """Fixed-point string with exactly nine fractional digits, round-half-even."""
-    return _fixed9(x)
+    return FORMAT9 % x
 
 
 def nanos9(x: float) -> int:
     """The 9-digit value of x as an integer count of 1e-9: its `.9f` digits, exact."""
-    return int(_fixed9(x).replace(".", "", 1))
+    return int((FORMAT9 % x).replace(".", "", 1))
 
 
 def nanos9_all(xs) -> list[int]:
-    """nanos9 of each value of a sequence that `check9` passed, in one pass."""
+    """nanos9 of each finite value of a sequence, in one pass."""
     return list(map(int, ((FORMAT9 + " ") * len(xs) % tuple(xs)).replace(".", "").split()))

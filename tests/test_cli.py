@@ -74,7 +74,7 @@ def test_curves_bad_grid_is_domain_error(tmp_path, capsys):
 @pytest.mark.parametrize("kind, flags, code", [
     ("base_fee", ["--kb", "1e400"], "DomainError"),
     ("base_fee", ["--kb", "nan"], "DomainError"),
-    ("base_fee", ["--kb", "1e300"], "DomainError"),       # finite, but k*u^2 overflows 9 digits
+    ("base_fee", ["--kb", "1e300"], "DomainError"),       # finite, but past 10**24
     ("dynamic_fee", ["--k", "inf", "--m-max", "500"], "DomainError"),
     ("dynamic_fee", ["--k", "0.01", "--m-max", "inf"], "DomainError"),
     ("deviation_pct", ["--kd", "0.0004", "--cd", "inf"], "DomainError"),
@@ -199,30 +199,30 @@ def test_validate_good_and_bad_configs(tmp_path, capsys):
                             "max_leverage must be >= 1\n")
 
 
-# (config overrides, every limit the config breaks, in the order the error lists them)
+# (config overrides, the ConfigError message, which lists every limit the config breaks)
 LIMIT_ROWS = [
-    ({"max_leverage": 0}, ["max_leverage must be >= 1"]),
-    ({"max_exposure": -1}, ["max_exposure must be >= 0"]),
+    ({"max_leverage": 0}, "invalid market config: max_leverage must be >= 1"),
+    ({"max_exposure": -1}, "invalid market config: max_exposure must be >= 0"),
     ({"maintenance_margin_rate": 2, "max_leverage": 50},
-     ["maintenance_margin_rate * max_leverage must be < 100"]),
+     "invalid market config: maintenance_margin_rate * max_leverage must be < 100"),
     # a leverage below 1 with a margin rate large enough that the product reaches 100
     ({"max_leverage": "0.5", "max_exposure": -1, "maintenance_margin_rate": 200},
-     ["max_leverage must be >= 1", "max_exposure must be >= 0",
-      "maintenance_margin_rate * max_leverage must be < 100"]),
+     "invalid market config: max_leverage must be >= 1; max_exposure must be >= 0; "
+     "maintenance_margin_rate * max_leverage must be < 100"),
     # fee curves with no 9-digit value at 100% utilization or skew, which a run
-    # would reach only at its first accrual
+    # would reach only at its first accrual: their coefficients are past 10**24
     ({"base_fee": {"k_b": 1e45, "c_b": 0}},
-     ["base_fee at 100%: 1e+49 has no 9-digit fixed-point value"]),
+     "market config: bad 'base_fee': base fee parameters must be in [0, 1e+24]"),
     ({"dynamic_fee": {"m_max": 1e45, "steepness": 0.0125}},
-     ["dynamic_fee at 100%: 5.546e+44 has no 9-digit fixed-point value"]),
+     "market config: bad 'dynamic_fee': dynamic fee parameters must be in [0, 1e+24]"),
 ]
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "run-missing-trace"])
-@pytest.mark.parametrize("overrides, limits", LIMIT_ROWS,
+@pytest.mark.parametrize("overrides, message", LIMIT_ROWS,
                          ids=["leverage", "exposure", "margin-times-leverage", "all-three",
                               "base-fee-at-full-utilization", "dynamic-fee-at-full-skew"])
-def test_config_limits_are_one_config_error_line(tmp_path, capsys, command, overrides, limits):
+def test_config_limits_are_one_config_error_line(tmp_path, capsys, command, overrides, message):
     scenario = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[],
                      config=dict(FRICTIONLESS, **overrides))
     out_dir = tmp_path / "out"
@@ -235,8 +235,62 @@ def test_config_limits_are_one_config_error_line(tmp_path, capsys, command, over
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"ERROR ConfigError: invalid market config: {'; '.join(limits)}\n"
+    assert captured.err == f"ERROR ConfigError: {message}\n"
     assert not out_dir.exists()
+
+
+# coefficient -> (config section, curves kind, curves flag, the kind's required key)
+COEFFICIENTS = {
+    "k_delta": ("deviation", "deviation_pct", "--kd", "k_delta"),
+    "c_d": ("deviation", "deviation_pct", "--cd", "k_delta"),
+    "k_b": ("base_fee", "base_fee", "--kb", "k_b"),
+    "c_b": ("base_fee", "base_fee", "--cb", "k_b"),
+    "m_max": ("dynamic_fee", "dynamic_fee", "--m-max", "steepness"),
+    "steepness": ("dynamic_fee", "dynamic_fee", "--k", "steepness"),
+}
+FLAGS = {key: flag for key, (_, _, flag, _) in COEFFICIENTS.items()}
+# JSON texts past a coefficient's bound, [0, 10**24]: 1e24, the double nearest
+# 10**24, is read, and 1.000000000000001e24 is the next but one above it
+PAST_THE_BOUND = ["1.000000000000001e24", "1e300", "-1", "-1e-300", "NaN", "Infinity",
+                  "-Infinity"]
+
+
+@pytest.mark.parametrize("route", ["validate", "run", "curves-flags", "curves-params"])
+@pytest.mark.parametrize("key", sorted(COEFFICIENTS))
+def test_a_coefficient_up_to_ten_to_the_24_reads_and_past_it_is_one_error_line(
+        tmp_path, capsys, route, key):
+    section, kind, _, required = COEFFICIENTS[key]
+    for n, text in enumerate(["1e24", *PAST_THE_BOUND]):
+        work = tmp_path / str(n)
+        work.mkdir()
+        params = {required: 0.01, key: json.loads(text)}
+        if route == "curves-flags":
+            out = work / "x.csv"
+            argv = ["curves", "--kind", kind, "--grid", "0:100:1", "--out", str(out),
+                    *(f"{FLAGS[k]}={v}" for k, v in dict(params, **{key: text}).items())]
+        elif route == "curves-params":
+            out = work / "x.csv"
+            (work / "params.json").write_text(json.dumps(params))
+            argv = ["curves", "--kind", kind, "--grid", "0:100:1", "--out", str(out),
+                    "--params", str(work / "params.json")]
+        else:
+            curve = dict(FRICTIONLESS[section], **{key: params[key]})
+            config = dict(FRICTIONLESS, **{section: curve})
+            scenario = build(work, trace_rows=both_feeds(0, 2000), actions=[], config=config)
+            out = work / "out"
+            argv = (["validate", "--config", str(work / "market.json")] if route == "validate"
+                    else ["run", "--config", str(work / "market.json"), "--scenario", scenario,
+                          "--trace", str(work / "trace.csv"), "--out-dir", str(out)])
+        code = main(argv)
+        captured = capsys.readouterr()
+        if n == 0:
+            assert (code, captured.err) == (0, ""), text
+            assert out.exists() or route == "validate"
+        else:
+            err = captured.err.splitlines()
+            error = "DomainError" if route.startswith("curves") else "ConfigError"
+            assert code == 1 and len(err) == 1 and err[0].startswith(f"ERROR {error}: "), text
+            assert not out.exists()
 
 
 def test_run_halted_is_one_insolvent_vault_line_after_the_outputs(tmp_path, capsys):

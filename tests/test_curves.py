@@ -7,6 +7,7 @@ the sigmoid from a 50-digit mpmath evaluation of both published closed forms
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -79,15 +80,38 @@ def test_deviation_params_reject_negatives():
         DeviationParams(0, -0.1)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-@pytest.mark.parametrize("make", [
+# each curve's params with one coefficient x
+MAKERS = [
     lambda x: DeviationParams(x, 0), lambda x: DeviationParams(0.01, x),
     lambda x: BaseFeeParams(x, 0), lambda x: BaseFeeParams(0.01, x),
     lambda x: DynamicFeeParams(x, 0.01), lambda x: DynamicFeeParams(500, x),
-])
+]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("make", MAKERS)
 def test_curve_params_reject_non_finite(make, bad):
     with pytest.raises(DomainError):
         make(bad)
+
+
+ABOVE_BOUND = math.nextafter(1e24, math.inf)   # 1e24 is the double nearest 10**24, below it
+
+
+@pytest.mark.parametrize("make", MAKERS)
+def test_curve_params_take_coefficients_up_to_ten_to_the_24(make):
+    make(1e24)
+    with pytest.raises(DomainError, match=r"parameters must be in \[0, 1e\+24\]$"):
+        make(ABOVE_BOUND)
+
+
+def test_curves_at_the_coefficient_bound_have_nine_digit_values():
+    """The largest values a bounded curve gives, at 100% and at any skew."""
+    top = 10**24 * 100**2 + 10**24   # exact k*u^2 + c; the double rounds it within 2**-52
+    for curve, params in [(eval_deviation, DeviationParams(1e24, 1e24)),
+                          (eval_base_fee, BaseFeeParams(1e24, 1e24))]:
+        assert curve(100, params) == pytest.approx(top * 10**9, rel=2**-50)
+    assert eval_dynamic_fee(1e28, DynamicFeeParams(1e24, 1e24)) == int(1e24) * 10**9
 
 
 # -- Quotes ----------------------------------------------------------------------
@@ -100,6 +124,12 @@ def test_curve_params_reject_non_finite(make, bad):
 def test_quotes_at_constant_oracle_price(u, expected):
     assert quote_prices_units(to_units(2000), u, DeviationParams(0.0004, 0.0)) == tuple(
         to_units(q) for q in expected)
+
+
+def test_quote_rounds_half_even_at_the_base_unit():
+    """2 base units at a 25% deviation quote 2.5 and 1.5 units: both ties go to
+    the even 2, not outward to (3, 1)."""
+    assert quote_prices_units(2, 0.0, DeviationParams(0.0, 25.0)) == (2, 2)
 
 
 def test_quote_rejects_full_deviation():
@@ -131,7 +161,7 @@ def _outcome(fn, *args):
 @given(
     price_nanos=st.integers(1, 10**40),
     u=st.one_of(st.floats(min_value=0, max_value=100), st.floats()),
-    kd=st.one_of(st.floats(min_value=0, max_value=0.02), st.floats(min_value=0, max_value=1e40)),
+    kd=st.one_of(st.floats(min_value=0, max_value=0.02), st.floats(min_value=0, max_value=1e24)),
     cd=st.one_of(st.floats(min_value=0, max_value=5), st.floats(min_value=95, max_value=105)),
 )
 @example(price_nanos=2 * 10**12, u=100.0, kd=0.01, cd=0.0)    # delta is exactly 100
@@ -255,6 +285,8 @@ def test_dynamic_fee_matches_sigmoid_oracle(sigma, k, m, frozen):
 def test_dynamic_fee_rejects_negative_skew():
     with pytest.raises(DomainError):
         eval_dynamic_fee(-1, DynamicFeeParams(500, 0.0325))
+    with pytest.raises(DomainError, match="^skew nan must be non-negative$"):
+        eval_dynamic_fee(math.nan, DynamicFeeParams(500, 0.0325))
 
 
 def test_dynamic_fee_params_validation():

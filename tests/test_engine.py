@@ -175,9 +175,11 @@ def test_ten_day_fee_on_a_huge_position_is_exact():
 
 
 def test_accrual_to_the_latest_timestamp_is_finite():
-    # a rate just under nanos9's 1e41 bound, over the longest dt an input allows
-    cfg = make_config(base_fee=BaseFeeParams(0.0, 9e40))
-    after = accrue_fees(pool(long_oi=U(1000)), U(10000), cfg, MAX_TIMESTAMP)
+    # the largest rate the coefficient bound allows, at 100% utilization and skew,
+    # over the longest dt an input allows
+    cfg = make_config(base_fee=BaseFeeParams(1e24, 1e24),
+                      dynamic_fee=DynamicFeeParams(1e24, 1e24))
+    after = accrue_fees(pool(long_oi=U(10000)), U(10000), cfg, MAX_TIMESTAMP)
     assert math.isfinite(after.cum_fee_index_long) and after.cum_fee_index_long > 0
     pos = Position(1, "t", Direction.LONG, U(1000), U(100), U(2000), 0)
     assert position_equity(pos, after, U(2000)) < 0

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perpamm.errors import ConfigError, DomainError
+from perpamm.errors import ConfigError
 from perpamm.money import (
     FORMAT9,
     MAX_UNITS,
-    check9,
     format9,
     format_nanos,
     format_units,
@@ -25,25 +24,17 @@ from perpamm.money import (
     to_units,
 )
 
-_REFERENCE = Context(prec=50, rounding=ROUND_HALF_EVEN)
+# 330 digits hold any finite double to 9 fractional digits: the largest has 309 whole digits
+_REFERENCE = Context(prec=330, rounding=ROUND_HALF_EVEN)
 
 
-def reference9(x: float) -> Decimal | None:
-    """x rounded half-even to 9 fractional digits in a 50-digit context; None if it does not fit."""
-    try:
-        return Decimal(x).quantize(Decimal("1e-9"), context=_REFERENCE)
-    except InvalidOperation:
-        return None
+def reference9(x: float) -> Decimal:
+    """x rounded half-even to 9 fractional digits, exactly."""
+    return Decimal(x).quantize(Decimal("1e-9"), context=_REFERENCE)
 
 
 def assert_matches_reference(x: float) -> None:
     expected = reference9(x)
-    if expected is None:
-        with pytest.raises(DomainError):
-            format9(x)
-        with pytest.raises(DomainError):
-            quantize9(x)
-        return
     assert format9(x) == f"{expected:.9f}"
     got, want = quantize9(x), float(expected)
     assert got == want and math.copysign(1, got) == math.copysign(1, want)
@@ -66,13 +57,6 @@ def test_nine_digit_rounding_matches_decimal_reference(x):
     assert_matches_reference(x)
 
 
-def _doubles_around(bound: int) -> list[float]:
-    nearest = float(bound)
-    below = nearest if nearest < bound else math.nextafter(nearest, 0)
-    above = math.nextafter(below, math.inf)
-    return [below, above, -below, -above]
-
-
 @pytest.mark.parametrize("x, text", [
     (0.0, "0.000000000"),
     (-0.0, "-0.000000000"),
@@ -86,25 +70,12 @@ def test_nine_digit_examples(x, text):
     assert_matches_reference(x)
 
 
-@pytest.mark.parametrize("x", _doubles_around(10**41))
-def test_nine_digit_bound_is_ten_to_the_41(x):
-    assert_matches_reference(x)
-    if abs(x) < 10**41:
-        assert len(format9(x).lstrip("-").replace(".", "")) == 50
-        assert format_nanos(nanos9(x)) == format9(x)
-    else:
-        with pytest.raises(DomainError, match="no 9-digit fixed-point value"):
-            format9(x)
-        with pytest.raises(DomainError, match="no 9-digit fixed-point value"):
-            nanos9(x)
-
-
 def _ulps_from(x: float, n: int) -> float:
     return from_bits(struct.unpack("<Q", struct.pack("<d", x))[0] + n)
 
 
 printable_doubles = st.one_of(
-    finite_doubles.filter(lambda x: abs(x) < 10**41),
+    finite_doubles,
     # an ulp is below 1e-9 up to 2**23 and above it from there on
     st.builds(lambda bound, n, sign: sign * _ulps_from(bound, n),
               st.sampled_from([2.0**22, 2.0**23]), st.integers(-2**20, 2**20),
@@ -132,48 +103,20 @@ def test_nanos_are_the_printed_digits(x):
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_has_no_nine_digit_value(x):
-    with pytest.raises(DomainError):
-        format9(x)
-    with pytest.raises(DomainError):
-        quantize9(x)
-    with pytest.raises(DomainError):
+    """format9 prints no digits for a non-finite double and nanos9 refuses it;
+    no curve gives one, as each coefficient is bounded (test_curves)."""
+    assert not re.fullmatch(r"-?[0-9]+\.[0-9]{9}", format9(x))
+    with pytest.raises(ValueError):
         nanos9(x)
 
 
-def first_error9(xs: list[float]) -> str | None:
-    """The message of the first value of xs that scalar format9 refuses, or None."""
-    for x in xs:
-        try:
-            format9(x)
-        except DomainError as exc:
-            return str(exc)
-    return None
-
-
-def check9_error(xs: list[float]) -> str | None:
-    try:
-        check9(xs)
-    except DomainError as exc:
-        return str(exc)
-    return None
-
-
-EDGES9 = _doubles_around(10**41) + [math.nan, math.inf, -math.inf]
-
-
-@pytest.mark.parametrize("x", EDGES9)
-def test_check9_refuses_exactly_what_format9_refuses(x):
-    assert check9_error([x]) == first_error9([x])
-    assert check9_error([0.5, x, -x, 1e300]) == first_error9([0.5, x, -x, 1e300])
-
-
 @settings(max_examples=500)
-@given(st.lists(st.one_of(finite_doubles, st.sampled_from(EDGES9)), max_size=6))
-def test_check9_names_the_first_value_format9_refuses(xs):
-    assert check9_error(xs) == first_error9(xs)
-    if check9_error(xs) is None:   # then the column prints as format9 prints each value
-        assert (FORMAT9 + ",") * len(xs) % tuple(xs) == "".join(f"{format9(x)}," for x in xs)
-        assert nanos9_all(xs) == [nanos9(x) for x in xs]
+@given(st.lists(finite_doubles, max_size=6))
+def test_a_column_prints_and_converts_as_each_value_does(xs):
+    """A table prints a column in one FORMAT9 pass and nanos9_all converts it:
+    the same digits as format9 and nanos9 give each value."""
+    assert (FORMAT9 + ",") * len(xs) % tuple(xs) == "".join(f"{format9(x)}," for x in xs)
+    assert nanos9_all(xs) == [nanos9(x) for x in xs]
 
 
 def fixed_point_reference(n: int, digits: int) -> str:

@@ -119,6 +119,16 @@ def test_boundary_equal_to_min_uses_primary():
         == to_units(2002)
 
 
+def test_band_base_is_the_lower_price():
+    # d = 100 * 10.05 / min(1000, 1010.05) = 1.005%: past the 1% band, so in band;
+    # over the higher price it would be 0.995%, inside the band, and the primary
+    cfg = OracleConfig(max_age=60, min_acceptable_deviation=to_units(1),
+                       threshold_deviation=to_units(5))
+    primary, secondary = pp(1000, 100), pp("1010.05", 100, "s")
+    assert aggregate(primary, secondary, TradeSide.BUY, cfg, 100) == to_units("1010.05")
+    assert aggregate(primary, secondary, TradeSide.SELL, cfg, 100) == to_units(1000)
+
+
 def test_boundary_equal_to_threshold_is_accepted():
     # d = 100*20/2000 = 1% exactly: still in-band, least favorable applies
     assert aggregate(pp(2000, 100), pp(2020, 100, "s"), TradeSide.BUY, CFG, 100) \

@@ -6,7 +6,6 @@ import hashlib
 import json
 import random
 import sys
-from decimal import Decimal
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +16,7 @@ import perpamm.curves
 import perpamm.engine
 import perpamm.scenario
 from conftest import feed_both, ledger_sum, make_config, make_engine, receipt_cash
+from perpamm.cli import main
 from perpamm.curves import BaseFeeParams, DynamicFeeParams
 from perpamm.engine import Direction, OrderKind, pool_metrics
 from perpamm.errors import InsolventVault, ScenarioError
@@ -848,17 +848,32 @@ def test_run_refuses_inputs_out_of_time_order(trace, actions, name):
 
 
 @pytest.mark.parametrize("enum_type, key", [(OrderKind, "kind"), (Direction, "direction")])
-def test_enum_params_read_and_refuse_as_the_enum_does(enum_type, key):
-    parse = ACTION_PARAMS["create_order"][0][key]
-    for member in enum_type:
-        assert parse(member.value) is member
-    for value in ["x", "", "LONG", "Long", 3, 1.5, Decimal("2"), None, True, [1], {},
-                  ["long"], {"kind": "market_open"}]:
-        with pytest.raises(ValueError) as expected:
+def test_enum_params_read_and_refuse_as_the_enum_does(tmp_path, capsys, enum_type, key):
+    """Through `perpamm run`, a value that is no member's is a create_order
+    ScenarioError receipt and the run goes on; a member's value reads."""
+    bad = ["x", "", "LONG", "Long", 3, 1.5, None, True, [1], {}, ["long"],
+           {"kind": "market_open"}]
+    good = {"kind": "market_open", "direction": "long", "size": 1000, "collateral": 100,
+            "acceptable_price": 2000, "max_slippage": 1}
+    enum_type(good[key])
+    for value in bad:
+        with pytest.raises(ValueError):
             enum_type(value)
-        with pytest.raises(ValueError) as got:
-            parse(value)
-        assert str(got.value) == str(expected.value)
+    scenario = build(tmp_path, trace_rows=both_feeds(0, 2000), actions=[
+        act(0, "lp", "deposit", assets=10000),
+        *(act(0, "trader", "create_order", **dict(good, **{key: value})) for value in bad),
+        act(0, "trader", "create_order", **good),
+        act(0, "trader", "settle_order", order_id=1)])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "market.json"), "--scenario", scenario,
+                 "--trace", str(tmp_path / "trace.csv"), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "receipts.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[3:5] for row in rows] == (
+        [["deposit", "ok"]] + [["create_order", "ScenarioError"]] * len(bad)
+        + [["create_order", "ok"], ["settle_order", "ok"]])
+    # a refused action holds no order id and moves no cash
+    assert all(row.endswith("ScenarioError,,,,,,,,,") for row in rows[1:-2])
 
 
 def test_the_manifest_hashes_inputs_of_any_size(tmp_path):
