@@ -72,7 +72,7 @@ def _curve_params(args: argparse.Namespace, parser: argparse.ArgumentParser):
 def _cmd_curves(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     params = _curve_params(args, parser)
     table = emit_figure_data(args.kind, params, Grid.parse(args.grid))
-    write_csv_atomic(args.out, table.header, [table.body])
+    write_csv_atomic(args.out, table.header, table.body)
     return 0
 
 

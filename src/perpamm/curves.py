@@ -11,15 +11,18 @@ Utilization, skew, deviation and fee rates are all expressed on a 0-100
 percent scale; fee rates are annualized. Each coefficient lies in
 [0, 10**24] (steepness > 0), checked when its params are built, so every
 curve value is finite and has a 9-digit form. Only the raw curves
-(:func:`parabola`, :func:`sigmoid`) run in binary64, on a binary64 percent.
-The ``eval_*`` curves, skew and borrow rates are int counts of 1e-9 percent
-("nanos"), each rounded half-even once. Quotes are exact integer arithmetic
-on prices in 1e-9 units.
+(:func:`parabola`, :func:`sigmoid`) run in binary64, each formula written
+once, over a column of binary64 percents: a figure table passes a block of
+grid points, and the ``eval_*`` curves a one-point column. The ``eval_*``
+curves, skew and borrow rates are int counts of 1e-9 percent ("nanos"),
+each rounded half-even once. Quotes are exact integer arithmetic on prices
+in 1e-9 units.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, QuoteError
@@ -81,35 +84,36 @@ def check_skew(skew_pct: float) -> None:
         raise DomainError(f"skew {skew_pct} must be non-negative")
 
 
-# The raw binary64 curves, each formula once: (x, coefficient, constant) -> value.
+# The raw binary64 curves, each formula once, over a column of x:
+# (xs, coefficient, constant) -> the value at each x.
 
-def parabola(u: float, k: float, c: float) -> float:
-    """k*u^2 + c: the deviation (k_delta, c_d) and base-fee (k_b, c_b) curves."""
-    return k * u * u + c
+def parabola(us: Sequence[float], k: float, c: float) -> list[float]:
+    """k*u^2 + c at each u: the deviation (k_delta, c_d) and base-fee (k_b, c_b) curves."""
+    return [k * u * u + c for u in us]
 
 
-def sigmoid(skew_pct: float, steepness: float, m_max: float) -> float:
-    """m_max * (1 - e) / (1 + e) with e = exp(-steepness * skew): the dynamic-fee curve."""
-    e = math.exp(-steepness * skew_pct)
-    return m_max * (1.0 - e) / (1.0 + e)
+def sigmoid(skews: Sequence[float], steepness: float, m_max: float) -> list[float]:
+    """m_max * (1 - e) / (1 + e) with e = exp(-steepness * skew) at each skew: the
+    dynamic-fee curve."""
+    return [m_max * (1.0 - (e := math.exp(-steepness * x))) / (1.0 + e) for x in skews]
 
 
 def eval_deviation(u: float, p: DeviationParams) -> int:
     """Price deviation in nanos of a percent at utilization u (0-100 percent)."""
     check_utilization(u)
-    return nanos9(parabola(u, p.k_delta, p.c_d))
+    return nanos9(parabola((u,), p.k_delta, p.c_d)[0])
 
 
 def eval_base_fee(u: float, p: BaseFeeParams) -> int:
     """Annualized base borrowing fee in nanos of a percent at utilization u (0-100 percent)."""
     check_utilization(u)
-    return nanos9(parabola(u, p.k_b, p.c_b))
+    return nanos9(parabola((u,), p.k_b, p.c_b)[0])
 
 
 def eval_dynamic_fee(skew_pct: float, p: DynamicFeeParams) -> int:
     """Annualized dynamic borrowing fee in nanos of a percent at skew (percent, >= 0)."""
     check_skew(skew_pct)
-    return nanos9(sigmoid(skew_pct, p.steepness, p.m_max))
+    return nanos9(sigmoid((skew_pct,), p.steepness, p.m_max)[0])
 
 
 def compute_skew(long_oi: int, short_oi: int, pool_value: int) -> int:
@@ -130,8 +134,11 @@ def quote_nanos(price_nanos: int, d: int) -> tuple[int, int]:
     """
     if d >= 10**11:   # 10**11 nanos is 100%
         raise QuoteError(f"deviation {format_nanos(d)}% leaves no positive short quote")
-    return (div_round_half_even(price_nanos * (10**11 + d), 10**11),
-            div_round_half_even(price_nanos * (10**11 - d), 10**11))
+    long_q = div_round_half_even(price_nanos * (10**11 + d), 10**11)
+    # the exact quotes sum to 2 * price, and rounding half-even keeps the sum (the
+    # fractions sum to 0 or 1, and a tie in one is a tie in the other at the other
+    # parity), so the short quote is the rest
+    return long_q, 2 * price_nanos - long_q
 
 
 def quote_prices_units(price_units: int, u: float, p: DeviationParams) -> tuple[int, int]:

@@ -8,21 +8,34 @@ Four table kinds:
 * ``dynamic_fee``: dynamic borrowing fee over skew, one column per steepness.
 
 Grid points are exact decimals (``lo:hi:step`` must divide evenly, in 28
-digits with exponents within [-28, 28]); a label is a point's plain decimal
-text, and x the double of that text. A column is the raw binary64 curve over
-every x; the curve params bound each coefficient, so every value has a 9-digit
-form, and the body prints in one printf-style pass: a curve value with
+digits with exponents within [-28, 28]). Printed with the grid's decimals,
+the more of lo's and step's, a point has at most 15 digits (binary64's
+DBL_DIG), so point i is the int ``first + i*step`` over ``10**places``: its x
+is the correctly rounded quotient, the double of its label, and
+``"%.{places}f" % x`` prints the label back.
+
+Every check runs before the first row, in this order: grid, params,
+coefficients, domain, quote. x rises along the grid, and the deviation with
+it, so the domain check and deviation_price's quote check each read the two
+endpoints; only a failure at the last bisects for the first offending point,
+whose message is raised. The table is then made and written ``BLOCK_ROWS`` rows at a time,
+so its memory does not grow with the grid: a block's x column goes through
+the raw binary64 curve (``curves``, each formula once, over a column), and
+the block prints in one printf-style pass, a curve value with
 :data:`~perpamm.money.FORMAT9`, the bytes ``format9`` gives, so the files
-are stable golden artifacts.
+are stable golden artifacts. The curve params bound each coefficient, so
+every value has a 9-digit form.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import (ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation,
                      localcontext)
 from itertools import chain, repeat
+from operator import truediv
 
 from .config import coefficient, read_fields
 from .curves import (
@@ -31,18 +44,20 @@ from .curves import (
     DynamicFeeParams,
     check_skew,
     check_utilization,
+    eval_deviation,
     parabola,
     quote_nanos,
     sigmoid,
 )
-from .errors import DomainError, InvalidGrid
+from .errors import DomainError, InvalidGrid, QuoteError
 from .money import FORMAT9, format_nanos, nanos9_all
 
-MAX_GRID_POINTS = 10**6   # a table row per point: bounds the time and memory one table takes
+MAX_GRID_POINTS = 10**6   # a table row per point: bounds the time one table takes
+BLOCK_ROWS = 1024   # rows made and written at a time: a table's memory is one block's
+MAX_POINT_DIGITS = 15   # binary64's DBL_DIG: a decimal of this many digits is one double
 
 # Every signal traps: the grid's arithmetic is exact in 28 digits, with each
-# nonzero result's adjusted exponent within [-28, 28], or it is refused. So
-# a point is never rounded and its label is at most 58 characters.
+# nonzero result's adjusted exponent within [-28, 28], or it is refused.
 _GRID_CONTEXT = Context(prec=28, Emin=-28, Emax=28, traps=list(Context().traps))
 
 
@@ -53,9 +68,19 @@ def _inexact(text: str) -> InvalidGrid:
 
 @dataclass(frozen=True)
 class Grid:
-    lo: Decimal
-    hi: Decimal
-    step: Decimal
+    """``count`` points; point i is (first + i*step) / 10**places, exactly.
+
+    ``places`` is the label's number of fractional digits, that of lo or of
+    step, whichever has more. Every point times 10**places is below
+    10**MAX_POINT_DIGITS, so its double, ``x(i)``, the int quotient correctly
+    rounded, is the double of the label, and ``"%.{places}f"`` prints the
+    label back from it.
+    """
+
+    first: int
+    step: int
+    count: int
+    places: int
 
     @classmethod
     def parse(cls, text: str) -> "Grid":
@@ -82,30 +107,67 @@ class Grid:
             raise InvalidGrid("grid step must divide the range evenly")
         if points > MAX_GRID_POINTS:
             raise InvalidGrid(f"grid has more than {MAX_GRID_POINTS} points: {text!r}")
-        return cls(lo, hi, step)
+        # a point's plain decimal text: lo + i*step, with the exponent of lo or step
+        places = max(0, -min(lo.as_tuple().exponent, step.as_tuple().exponent))
+        count = int(points)
+        # the points lie within [lo, hi]; copy_abs and the comparison are exact
+        fits = max(lo.copy_abs(), hi.copy_abs()) < Decimal((0, (1,), MAX_POINT_DIGITS - places))
+        if not fits or places > 28:
+            # only then can a point, or a multiple of the step, leave the context: the
+            # points' exact arithmetic decides, and a grid it refuses keeps its message
+            try:
+                with localcontext(_GRID_CONTEXT):
+                    for i in range(count):
+                        lo + i * step
+            except DecimalException:
+                raise _inexact(f"{lo}:{hi}:{step}") from None
+        if not fits:
+            raise InvalidGrid(f"a grid point printed with {places} decimals must have at most "
+                              f"{MAX_POINT_DIGITS} digits: {text!r}")
+        return cls(int(lo.scaleb(places)), int(step.scaleb(places)), count, places)
 
-    def points(self) -> list[Decimal]:
-        lo, hi, step = self.lo, self.hi, self.step
-        try:
-            with localcontext(_GRID_CONTEXT):
-                return [lo + i * step for i in range(int((hi - lo) / step) + 1)]
-        except DecimalException:
-            raise _inexact(f"{lo}:{hi}:{step}") from None
+    def x(self, i: int) -> float:
+        """Point i's double."""
+        return (self.first + i * self.step) / 10**self.places
+
+    def blocks(self) -> Iterator[list[float]]:
+        """The points' doubles, BLOCK_ROWS at a time."""
+        first, step, scale = self.first, self.step, 10**self.places
+        for start in range(0, self.count, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, self.count)
+            yield list(map(truediv, range(first + start * step, first + stop * step, step),
+                           repeat(scale)))
 
 
 @dataclass(frozen=True)
 class FigureTable:
+    """A table's header, and its body made block by block from the grid:
+    ``cells`` maps a block's x column to the block's cells, row by row, which
+    ``row_format`` prints, one row per CSV line."""
+
     header: list[str]
-    body: str   # the CSV lines after the header, each ending in "\n"
+    grid: Grid
+    row_format: str
+    cells: Callable[[list[float]], Iterable]
+
+    @property
+    def body(self) -> Iterator[str]:
+        """The CSV lines after the header, each ending in "\\n", BLOCK_ROWS rows to a
+        string; each read makes them afresh."""
+        block_format = self.row_format * BLOCK_ROWS
+        for xs in self.grid.blocks():
+            rows_format = block_format if len(xs) == BLOCK_ROWS else self.row_format * len(xs)
+            yield rows_format % tuple(self.cells(xs))
 
     @property
     def rows(self) -> list[list[str]]:
-        return [line.split(",") for line in self.body.splitlines()]
+        return [line.split(",") for line in "".join(self.body).splitlines()]
 
 
 def emit_figure_data(kind: str, params: dict, grid: Grid) -> FigureTable:
-    """Build the table for one figure kind; `read_fields` reads ``params`` (flags
-    or a --params object) against ``FIGURE_PARAMS[kind]``. Coefficients stay
+    """Check everything one figure kind's table needs and return the table, whose
+    body is made as it is read; `read_fields` reads ``params`` (flags or a
+    --params object) against ``FIGURE_PARAMS[kind]``. Coefficients stay
     Decimals, so column labels keep their literal spelling. Keys by kind,
     the required ones first:
 
@@ -137,17 +199,24 @@ def _numbers(value) -> list[Decimal]:
     return [_number(v) for v in (value if isinstance(value, list) else [value])]
 
 
-def _labels(grid: Grid) -> tuple[list[str], list[float]]:
-    """Each grid point's label, its plain decimal text, and its double, parsed
-    from that text: the same exact decimal as the point, so the same double."""
-    labels = list(map(format, grid.points(), repeat("f")))
-    return labels, list(map(float, labels))
+def _check_points(grid: Grid, check: Callable[[float], object], error: type[Exception]) -> None:
+    """check(x) at every point's x, where the points that fail are a head, a tail
+    or both: the first and the last point pass, or the first that fails raises,
+    the first point itself or the first of the tail, which bisection finds.
 
+    Each use rests on x rising along the grid: a domain's bounds fail a head
+    and a tail, and a deviation, which rises with utilization, a tail.
+    """
+    def fails(i: int) -> bool:
+        try:
+            check(grid.x(i))
+        except error:
+            return True
+        return False
 
-def _body(row_format: str, labels: list[str], columns: list) -> str:
-    """Every row in one printf-style pass: row_format takes a label, then one
-    value from each column."""
-    return (row_format * len(labels)) % tuple(chain.from_iterable(zip(labels, *columns)))
+    check(grid.x(0))
+    if fails(grid.count - 1):
+        check(grid.x(bisect_left(range(grid.count), True, key=fails)))
 
 
 # a 9-digit value has at most 50 significant digits; a longer price is a DomainError
@@ -168,24 +237,28 @@ def _deviation_price(params: dict, grid: Grid) -> FigureTable:
         raise InvalidGrid("deviation_price takes exactly one k_delta")
     p = DeviationParams(k_delta=coefficient(k_deltas[0]),
                         c_d=coefficient(params.get("c_d", 0)))
-    labels, xs = _labels(grid)
-    for x in xs:
-        check_utilization(x)
-    deviations = list(map(parabola, xs, repeat(p.k_delta), repeat(p.c_d)))
-    long_q, short_q = zip(*map(quote_nanos, repeat(price_nanos), nanos9_all(deviations)))
-    # a quote is a non-negative count of nanos: whole and fraction print as ints
-    columns = [*zip(*map(divmod, long_q, repeat(10**9))),
-               *zip(*map(divmod, short_q, repeat(10**9)))]
-    row_format = f"%s,{format_nanos(price_nanos)},%d.%09d,%d.%09d\n"
+    _check_points(grid, check_utilization, DomainError)
+    _check_points(grid, lambda x: quote_nanos(price_nanos, eval_deviation(x, p)), QuoteError)
+
+    def cells(xs: list[float]) -> Iterable:
+        quotes = chain.from_iterable(map(quote_nanos, repeat(price_nanos),
+                                         nanos9_all(parabola(xs, p.k_delta, p.c_d))))
+        # a quote is a non-negative count of nanos: whole and fraction print as ints
+        parts = chain.from_iterable(map(divmod, quotes, repeat(10**9)))
+        # a row's four parts, long then short: zip takes them from the one iterator in turn
+        return chain.from_iterable(zip(xs, parts, parts, parts, parts))
+
     return FigureTable(
         header=["utilization", "oracle_price", "deviated_price_long", "deviated_price_short"],
-        body=_body(row_format, labels, columns))
+        grid=grid,
+        row_format=f"%.{grid.places}f,{format_nanos(price_nanos)},%d.%09d,%d.%09d\n",
+        cells=cells)
 
 
 def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_key: str,
                        label: str, params_type: type, check: Callable[[float], None],
-                       raw: Callable[[float, float, float], float]) -> FigureTable:
-    """One column per coefficient in params[key]: raw(x, coefficient, constant).
+                       raw: Callable[[list[float], float, float], list[float]]) -> FigureTable:
+    """One column per coefficient in params[key]: raw(xs, coefficient, constant).
 
     ``key`` and ``const_key`` are also the field names of ``params_type``,
     which checks each (coefficient, constant) pair; ``check`` is the curve's
@@ -196,14 +269,20 @@ def _coefficient_table(params: dict, grid: Grid, x_name: str, key: str, const_ke
     ks = [coefficient(c) for c in coefficients]
     for k in ks:
         params_type(**{key: k, const_key: const})
-    labels, xs = _labels(grid)
-    for x in xs:
-        check(x)
+    _check_points(grid, check, DomainError)
+    width = len(ks) + 1
+
+    def cells(xs: list[float]) -> list:
+        row_cells = [0.0] * (len(xs) * width)
+        row_cells[::width] = xs
+        for column, k in enumerate(ks, 1):
+            row_cells[column::width] = raw(xs, k, const)
+        return row_cells
+
     # each value is the raw binary64 curve printed once: format9(quantize9(v)) == format9(v)
-    columns = [list(map(raw, xs, repeat(k), repeat(const))) for k in ks]
-    return FigureTable(header=[x_name] + [f"{label}{c}" for c in coefficients],
-                       body=_body(",".join(["%s"] + [FORMAT9] * len(ks)) + "\n",
-                                  labels, columns))
+    return FigureTable(header=[x_name] + [f"{label}{c}" for c in coefficients], grid=grid,
+                       row_format=",".join([f"%.{grid.places}f"] + [FORMAT9] * len(ks)) + "\n",
+                       cells=cells)
 
 
 # kind -> the arguments of _coefficient_table after (params, grid)

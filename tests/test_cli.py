@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,8 @@ def test_curves_deviation_price_rounds_to_a_positive_price(tmp_path, capsys, pri
 @pytest.mark.parametrize("kind, flags", [
     ("base_fee", ["--kb", "0.01"]),
     ("deviation_pct", ["--kd", "0.01"]),
+    # the deviation passes 100% at u = 71, but the domain is checked before the quotes
+    ("deviation_price", ["--price", "2000", "--kd", "0.02"]),
 ])
 def test_curves_grid_beyond_full_utilization_names_the_first_point(
         tmp_path, capsys, kind, flags):
@@ -160,6 +163,56 @@ def test_curves_grid_beyond_full_utilization_names_the_first_point(
     assert main(["curves", "--kind", kind, *flags, "--grid", "0:150:1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "ERROR DomainError: utilization 101.0 outside [0, 100]\n"
     assert not out.exists()
+
+
+def test_curves_quote_error_names_the_first_row_past_full_deviation(tmp_path, capsys):
+    """0.02 * u^2 first reaches 100% at u = 71 (100.82%); the last row's is 200%."""
+    out = tmp_path / "x.csv"
+    assert main(["curves", "--kind", "deviation_price", "--price", "2000", "--kd", "0.02",
+                 "--grid", "0:100:1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "ERROR QuoteError: deviation 100.820000000% leaves no positive short quote\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, places", [
+    ("99.99999999999999:100:0.00000000000001", 14),   # 16 digits: two rows, one double
+    ("0:1000000000000000:1000000000000000", 0),
+])
+def test_curves_grid_point_of_16_digits_is_one_error_line(tmp_path, capsys, grid, places):
+    out = tmp_path / "x.csv"
+    assert main(["curves", "--kind", "dynamic_fee", "--k", "0.01", "--grid", grid,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"ERROR InvalidGrid: a grid point printed with {places} "
+                                       f"decimals must have at most 15 digits: {grid!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, labels", [
+    ("0.99999999999999:1:0.00000000000001", ["0.99999999999999", "1.00000000000000"]),
+    ("999999999999999:999999999999999:1", ["999999999999999"]),
+])
+def test_curves_grid_point_of_15_digits_is_its_label(tmp_path, grid, labels):
+    out = tmp_path / "x.csv"
+    assert main(["curves", "--kind", "dynamic_fee", "--k", "0.01", "--grid", grid,
+                 "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == labels
+
+
+def test_curves_table_memory_is_one_block(tmp_path):
+    """A 20,001-row table is made and written a block at a time: its peak
+    allocation is far below the 1 MB file."""
+    out = tmp_path / "x.csv"
+    argv = ["curves", "--kind", "deviation_price", "--price", "1672.91", "--kd", "0.000654",
+            "--cd", "0.403676", "--grid", "0:100:0.005", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 1_000_000
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("literal", [

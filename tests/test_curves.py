@@ -142,7 +142,7 @@ def test_quote_rejects_full_deviation():
 def quote_nanos_reference(price_nanos: int, u: float, p: DeviationParams) -> tuple[int, int]:
     """quote_nanos as first written: the deviation through quantize9, then back to an int."""
     check_utilization(u)
-    delta = quantize9(parabola(u, p.k_delta, p.c_d))
+    delta = quantize9(p.k_delta * u * u + p.c_d)
     if delta >= 100:
         raise QuoteError(f"deviation {format9(delta)}% leaves no positive short quote")
     d = round(delta * 10**9)
@@ -170,6 +170,18 @@ def test_quote_nanos_equals_the_quantize9_formula(price_nanos, u, kd, cd):
     p = DeviationParams(kd, cd)
     assert _outcome(lambda: quote_nanos(price_nanos, eval_deviation(u, p))) == _outcome(
         quote_nanos_reference, price_nanos, u, p)
+
+
+@settings(max_examples=1000)
+@given(price_nanos=st.integers(1, 10**40), d=st.integers(0, 10**11 - 1))
+@example(price_nanos=1, d=5 * 10**10)   # long 1.5 and short 0.5: ties to 2 and 0
+@example(price_nanos=3, d=5 * 10**10)   # long 4.5 and short 1.5: ties to 4 and 2
+@example(price_nanos=10**11 + 1, d=0)
+def test_quote_nanos_short_is_its_own_half_even_rounding(price_nanos, d):
+    """The short quote, taken as 2 * price - long, is price * (1 - d/100) rounded half-even."""
+    long_q, short_q = quote_nanos(price_nanos, d)
+    assert long_q == div_round_half_even(price_nanos * (10**11 + d), 10**11)
+    assert short_q == div_round_half_even(price_nanos * (10**11 - d), 10**11)
 
 
 def test_quote_rejects_non_positive_price():
@@ -409,5 +421,16 @@ def test_zero_coefficient_collapses_to_constant(u, kd, kb):
 
 def test_nine_digit_quantization_applies():
     value = eval_dynamic_fee(33.3, DynamicFeeParams(500, 0.0325))
-    raw = sigmoid(33.3, 0.0325, 500)
+    raw, = sigmoid([33.3], 0.0325, 500)
     assert Decimal(format_nanos(value)) == Decimal(repr(raw)).quantize(Decimal("1e-9"))
+
+
+@settings(max_examples=200)
+@given(xs=st.lists(st.floats(min_value=0, max_value=100), max_size=40),
+       k=st.floats(min_value=0, max_value=1e24), c=st.floats(min_value=0, max_value=1e24))
+def test_column_curves_are_the_one_point_formulas(xs, k, c):
+    """A column is each point's value as one expression gives it, bit for bit."""
+    assert parabola(xs, k, c) == [k * x * x + c for x in xs]
+    steepness = max(k, 1e-9)
+    assert sigmoid(xs, steepness, c) == [
+        c * (1.0 - math.exp(-steepness * x)) / (1.0 + math.exp(-steepness * x)) for x in xs]

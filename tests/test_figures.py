@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import Decimal
+import math
+from decimal import Context, Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,11 @@ from perpamm.curves import (
     eval_base_fee,
     eval_deviation,
     eval_dynamic_fee,
-    parabola,
     quote_nanos,
-    sigmoid,
 )
 from perpamm.errors import DomainError, InvalidGrid
-from perpamm.figures import FIGURE_PARAMS, Grid, emit_figure_data
-from perpamm.money import format9, format_nanos, quantize9
+from perpamm.figures import BLOCK_ROWS, FIGURE_PARAMS, Grid, emit_figure_data
+from perpamm.money import format9, format_nanos, nanos9, quantize9
 from test_scenario import count_calls
 
 
@@ -31,12 +30,23 @@ def D(text):
     return Decimal(text)
 
 
+def grid_points(text: str) -> list[Decimal]:
+    """A grid's points as first computed: lo + i*step in exact Decimals."""
+    lo, hi, step = map(Decimal, text.split(":"))
+    with localcontext(Context(prec=60)):
+        return [lo + i * step for i in range(int((hi - lo) / step) + 1)]
+
+
 def test_grid_parse_and_points():
     grid = Grid.parse("0:100:25")
-    assert [str(p) for p in grid.points()] == ["0", "25", "50", "75", "100"]
+    assert grid == Grid(first=0, step=25, count=5, places=0)
+    assert [grid.x(i) for i in range(grid.count)] == [0.0, 25.0, 50.0, 75.0, 100.0]
     fine = Grid.parse("0:1:0.1")
-    assert len(fine.points()) == 11
-    assert str(fine.points()[3]) == "0.3"
+    assert fine == Grid(first=0, step=1, count=11, places=1)
+    assert fine.x(3) == 0.3 == float("0.3")
+    # a label has the fractional digits of lo or of step, whichever has more
+    assert Grid.parse("0.50:1:0.5") == Grid(first=50, step=50, count=2, places=2)
+    assert Grid.parse("1E+1:20:1E+1") == Grid(first=10, step=10, count=2, places=0)
 
 
 @pytest.mark.parametrize("text", ["0:100", "0:100:0", "100:0:1", "0:100:7",
@@ -143,32 +153,58 @@ coefficients = st.decimals(min_value=D("0.000000001"), max_value=D("100000"), pl
 def test_coefficient_table_cells_are_the_engine_curve(kind, ks, const, lo, step, count):
     key, const_key, curve, make = ENGINE_CURVES[kind]
     first, step_ = D(lo) / 100, D(step)
-    grid = Grid.parse(f"{first}:{first + step_ * (count - 1)}:{step}")
-    table = emit_figure_data(kind, {key: ks, const_key: const}, grid)
+    text = f"{first}:{first + step_ * (count - 1)}:{step}"
+    table = emit_figure_data(kind, {key: ks, const_key: const}, Grid.parse(text))
     series = [make(float(k), float(const)) for k in ks]
-    for point, row in zip(grid.points(), table.rows):
+    for point, row in zip(grid_points(text), table.rows, strict=True):
         assert row == [format(point, "f")] + [format_nanos(curve(float(point), p)) for p in series]
 
 
-# kind -> the raw curve a coefficient table prints, as raw(x, coefficient, constant)
-RAW_CURVES = {"deviation_pct": parabola, "base_fee": parabola, "dynamic_fee": sigmoid}
+def parabola_at(u: float, k: float, c: float) -> float:
+    return k * u * u + c
 
 
-def reference_rows(kind: str, params: dict, grid: Grid) -> list[list[str]]:
-    """A table's rows as first written: each cell printed on its own, by format9
-    (the raw curve) or format_nanos (a quote)."""
-    points = grid.points()
+def sigmoid_at(skew: float, steepness: float, m_max: float) -> float:
+    e = math.exp(-steepness * skew)
+    return m_max * (1.0 - e) / (1.0 + e)
+
+
+# kind -> the raw curve a coefficient table prints, one point at a time: raw(x, k, const)
+RAW_CURVES = {"deviation_pct": parabola_at, "base_fee": parabola_at, "dynamic_fee": sigmoid_at}
+
+
+def reference_rows(kind: str, params: dict, text: str) -> list[list[str]]:
+    """A table's rows as first written: each point's label its exact Decimal's
+    plain text, x the double of that text, and each cell printed on its own,
+    by format9 (the raw curve) or format_nanos (a quote)."""
+    labels = [format(point, "f") for point in grid_points(text)]
     if kind == "deviation_price":
         price_nanos = int(params["price"] * 10**9)   # the test's prices have 9 places
-        p = DeviationParams(float(params["k_delta"][0]), float(params["c_d"]))
-        return [[format(point, "f"), format_nanos(price_nanos),
-                 *map(format_nanos, quote_nanos(price_nanos, eval_deviation(float(point), p)))]
-                for point in points]
+        k, c = float(params["k_delta"][0]), float(params["c_d"])
+        return [[label, format_nanos(price_nanos), *map(format_nanos, quote_nanos(
+                    price_nanos, nanos9(parabola_at(float(label), k, c))))]
+                for label in labels]
     key, const_key, _, _ = ENGINE_CURVES[kind]
     const = float(params[const_key])
-    return [[format(point, "f")] + [format9(RAW_CURVES[kind](float(point), float(k), const))
-                                    for k in params[key]]
-            for point in points]
+    return [[label] + [format9(RAW_CURVES[kind](float(label), float(k), const))
+                       for k in params[key]]
+            for label in labels]
+
+
+def reference_file(kind: str, params: dict, text: str, header: list[str]) -> str:
+    """The file csv.writer writes from the header and the reference rows."""
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(reference_rows(kind, params, text))
+    return reference.getvalue()
+
+
+def table_params(kind: str, ks: list, const: Decimal, price: Decimal) -> dict:
+    if kind == "deviation_price":   # a deviation below 95% at every point
+        return {"price": price, "k_delta": [min(ks[0], D("0.009"))], "c_d": const % 5}
+    key, const_key, _, _ = ENGINE_CURVES[kind]
+    return {key: ks, const_key: const}
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,20 +217,35 @@ def reference_rows(kind: str, params: dict, grid: Grid) -> list[list[str]]:
        step=st.sampled_from(["0.0000001", "0.005", "0.1", "0.25", "1", "2.5"]),
        count=st.integers(1, 20))
 def test_table_is_the_one_printed_cell_by_cell(kind, ks, const, price, lo, step, count):
-    """The one-pass body is the file csv.writer wrote from cells printed one by one."""
+    """The block-by-block body is the file csv.writer wrote from cells printed one by one."""
     first, step_ = D(lo) / 100, D(step)
-    grid = Grid.parse(f"{first}:{first + step_ * (count - 1)}:{step}")
-    if kind == "deviation_price":   # a deviation below 95% at every point
-        params = {"price": price, "k_delta": [min(ks[0], D("0.009"))], "c_d": const % 5}
-    else:
-        key, const_key, _, _ = ENGINE_CURVES[kind]
-        params = {key: ks, const_key: const}
-    table = emit_figure_data(kind, params, grid)
-    reference = io.StringIO()
-    writer = csv.writer(reference, lineterminator="\n")
-    writer.writerow(table.header)
-    writer.writerows(reference_rows(kind, params, grid))
-    assert ",".join(table.header) + "\n" + table.body == reference.getvalue()
+    text = f"{first}:{first + step_ * (count - 1)}:{step}"
+    params = table_params(kind, ks, const, price)
+    table = emit_figure_data(kind, params, Grid.parse(text))
+    assert ",".join(table.header) + "\n" + "".join(table.body) == reference_file(
+        kind, params, text, table.header)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(FIGURE_PARAMS)),
+       ks=st.lists(coefficients, min_size=1, max_size=3),
+       const=st.decimals(min_value=0, max_value=D("1000"), places=6),
+       price=st.decimals(min_value=D("0.000000001"), max_value=D("1e15"), places=9),
+       lo=st.integers(0, 100), step=st.sampled_from(["0.001", "0.0025", "0.01", "0.04"]),
+       count=st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                              2 * BLOCK_ROWS + 1]))
+def test_blocks_join_to_the_one_printed_cell_by_cell(kind, ks, const, price, lo, step, count):
+    """Row counts on each side of a block boundary; the body reads the same twice."""
+    first, step_ = D(lo) / 100, D(step)
+    text = f"{first}:{first + step_ * (count - 1)}:{step}"
+    params = table_params(kind, ks, const, price)
+    table = emit_figure_data(kind, params, Grid.parse(text))
+    blocks = list(table.body)
+    assert len(blocks) == -(-count // BLOCK_ROWS)
+    assert [block.count("\n") for block in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
+    assert ",".join(table.header) + "\n" + "".join(blocks) == reference_file(
+        kind, params, text, table.header)
+    assert list(table.body) == blocks
 
 
 def test_negative_skew_grid_is_the_curve_domain_error():

@@ -11,8 +11,9 @@ takes the whole pool, or one base unit more, which halts the run.
 Each example runs the CLI twice and `run_files` once. The exit code is 0,
 or 1 with one InsolventVault line; the two output directories are byte-
 identical; and the result conserves money, keeps reserved == long OI +
-short OI <= pool value in every snapshot, and ends with a snapshot at the
-time of the last receipt and the last accrual. csv.reader reads back
+short OI <= pool value in every row of the written snapshots.csv, and
+ends with a snapshot at the time of the last receipt and the last
+accrual. csv.reader reads back
 from each CSV file exactly the cells of its header and rows. Conservation
 is checked from the written receipts.csv: each account's cash is the sum of
 its `cash_delta` cells, so a delta the file drops is a failure.
@@ -281,8 +282,12 @@ def test_random_scenarios_through_the_runner(case):
     assert csv_cells(first["receipts.csv"]) == [RECEIPT_HEADER] + [
         row.as_csv() for row in result.receipts]
     assert_conserved(first["receipts.csv"], result.engine)
-    for snap in result.snapshots:
-        assert snap.reserved == snap.long_oi + snap.short_oi <= snap.pool_value
+    header, *rows = csv_cells(first["snapshots.csv"])
+    for row in rows:   # from the written cells, so a cell the file misprints is a failure
+        snap = dict(zip(header, row))
+        reserved, long_oi, short_oi, pool_value = (
+            to_units(snap[key]) for key in ("reserved", "long_oi", "short_oi", "pool_value"))
+        assert reserved == long_oi + short_oi <= pool_value
     last = result.snapshots[-1].time
     assert all(receipt.time <= last for receipt in result.receipts)
     assert result.engine.pool.last_accrual_time == last
