@@ -16,22 +16,20 @@ value. A MarketConfig and each of its sections check their own limits when
 built, so a config that loads is sound, and every defect is one ConfigError.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, fields
 from decimal import Decimal
+from typing import NamedTuple
 
 from .curves import BaseFeeParams, DeviationParams, DynamicFeeParams
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, checked
 from .money import UNIT_SCALE, to_units
 from .oracle import OracleConfig
 
 
-@dataclass(frozen=True)
-class MarketConfig:
+@checked
+class MarketConfig(NamedTuple):
     market_id: str
     deviation: DeviationParams
     base_fee: BaseFeeParams
@@ -44,7 +42,7 @@ class MarketConfig:
     liquidation_fee_rate: int     # percent of remaining equity, base units
     oracle: OracleConfig
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         """Raises one ConfigError listing every violated limit."""
         bad: list[str] = []
         if self.max_leverage < UNIT_SCALE:
@@ -126,7 +124,7 @@ def non_empty_string(value) -> str:
 def _section(where: str, cls: type, parsers: dict[str, Callable] | None = None) -> Callable:
     """The parser of config section `where`: a `cls` from its keys, all required;
     by default each of cls's fields is a curve coefficient."""
-    parsers = parsers or {field.name: coefficient for field in fields(cls)}
+    parsers = parsers or dict.fromkeys(cls._fields, coefficient)
     return lambda value: cls(**read_fields(value, parsers, parsers, ConfigError, where))
 
 

@@ -19,13 +19,11 @@ each rounded half-even once. Quotes are exact integer arithmetic on prices
 in 1e-9 units.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, QuoteError
+from .errors import DomainError, QuoteError, checked
 from .money import MAX_UNITS, UNIT_SCALE, div_round_half_even, format_nanos, nanos9
 
 
@@ -39,37 +37,37 @@ def _check_coefficients(curve: str, *values: float) -> None:
         raise DomainError(f"{curve} parameters must be in [0, {bound:.0e}]")
 
 
-@dataclass(frozen=True)
-class DeviationParams:
+@checked
+class DeviationParams(NamedTuple):
     """Price-deviation curve: coefficient (per percent^2) and constant (percent)."""
 
     k_delta: float
     c_d: float
 
-    def __post_init__(self) -> None:
-        _check_coefficients("deviation", self.k_delta, self.c_d)
+    def _check(self) -> None:
+        _check_coefficients("deviation", *self)
 
 
-@dataclass(frozen=True)
-class BaseFeeParams:
+@checked
+class BaseFeeParams(NamedTuple):
     """Base-fee curve: coefficient (per percent^2) and constant (percent/year)."""
 
     k_b: float
     c_b: float
 
-    def __post_init__(self) -> None:
-        _check_coefficients("base fee", self.k_b, self.c_b)
+    def _check(self) -> None:
+        _check_coefficients("base fee", *self)
 
 
-@dataclass(frozen=True)
-class DynamicFeeParams:
+@checked
+class DynamicFeeParams(NamedTuple):
     """Dynamic-fee sigmoid: maximum rate (percent/year) and steepness (> 0)."""
 
     m_max: float
     steepness: float
 
-    def __post_init__(self) -> None:
-        _check_coefficients("dynamic fee", self.m_max, self.steepness)
+    def _check(self) -> None:
+        _check_coefficients("dynamic fee", *self)
         if self.steepness <= 0:
             raise DomainError("sigmoid steepness must be positive")
 

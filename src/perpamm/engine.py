@@ -33,8 +33,6 @@ leaves the engine, vault included, bit-identical to its state before the
 call, and no call copies state to get there.
 """
 
-from __future__ import annotations
-
 import enum
 from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter

@@ -1,4 +1,5 @@
-"""Error hierarchy for the protocol engine.
+"""Error hierarchy for the protocol engine, and `checked`, which makes a record
+type refuse a bad value with one.
 
 Every error carries a stable ``code`` (its class name) so the CLI can emit
 machine-parseable ``ERROR <code>: <message>`` lines and tests can assert on
@@ -109,3 +110,29 @@ class InsufficientShares(ProtocolError):
 
 class InsolventVault(ProtocolError):
     """Debit exceeds vault assets: the pool cannot cover trader profit."""
+
+
+# -- Checked records -----------------------------------------------------------
+
+class _Checked(tuple):
+    """The base `checked` adds: each instance passes `_check`, whether built by
+    the constructor, by `_make` or by `_replace`, which builds through `_make`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+def checked(record_type: type) -> type:
+    """Class decorator: the NamedTuple `record_type`, whose `_check` method raises
+    on a bad value, as a type of the same name none of whose instances skip it."""
+    return type(record_type.__name__, (_Checked, record_type),
+                {"__slots__": (), "__doc__": record_type.__doc__,
+                 "__module__": record_type.__module__})

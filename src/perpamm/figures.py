@@ -27,15 +27,13 @@ are stable golden artifacts. The curve params bound each coefficient, so
 every value has a 9-digit form.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from decimal import (ROUND_HALF_EVEN, Context, Decimal, DecimalException, InvalidOperation,
                      localcontext)
 from itertools import chain, repeat
 from operator import truediv
+from typing import NamedTuple
 
 from .config import coefficient, read_fields
 from .curves import (
@@ -66,8 +64,7 @@ def _inexact(text: str) -> InvalidGrid:
                        f"within [-28, 28]: {text!r}")
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """``count`` points; point i is (first + i*step) / 10**places, exactly.
 
     ``places`` is the label's number of fractional digits, that of lo or of
@@ -139,8 +136,7 @@ class Grid:
                            repeat(scale)))
 
 
-@dataclass(frozen=True)
-class FigureTable:
+class FigureTable(NamedTuple):
     """A table's header, and its body made block by block from the grid:
     ``cells`` maps a block's x column to the block's cells, row by row, which
     ``row_format`` prints, one row per CSV line."""

@@ -14,14 +14,11 @@ Band comparisons are exact integer cross-multiplications, so boundary
 equality behaves identically on every platform.
 """
 
-from __future__ import annotations
-
 import csv
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, DeviationTooHigh, DomainError, StaleFeed, TraceError
+from .errors import ConfigError, DeviationTooHigh, DomainError, StaleFeed, TraceError, checked
 from .money import MAX_TIMESTAMP, UNIT_SCALE, to_units
 
 TRACE_HEADER = ["timestamp", "feed_id", "price"]
@@ -44,13 +41,13 @@ class PricePoint(NamedTuple):
     publish_time: int   # seconds since epoch, >= 0
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+@checked
+class OracleConfig(NamedTuple):
     max_age: int                    # seconds
     min_acceptable_deviation: int   # percent, base units
     threshold_deviation: int        # percent, base units
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_age <= 0:
             raise DomainError("max_age must be positive")
         if not 0 <= self.min_acceptable_deviation < self.threshold_deviation:
@@ -74,11 +71,11 @@ class FeedStore:
         return self._points.get(feed_id)
 
 
-def _check_fresh(point: PricePoint, cfg: OracleConfig, now: int) -> None:
-    if now - point.publish_time > cfg.max_age:
+def _check_fresh(point: PricePoint, max_age: int, now: int) -> None:
+    if now - point.publish_time > max_age:
         raise StaleFeed(
             f"feed {point.feed_id!r} is {now - point.publish_time}s old "
-            f"(max {cfg.max_age}s)")
+            f"(max {max_age}s)")
 
 
 def aggregate(
@@ -89,8 +86,9 @@ def aggregate(
     now: int,
 ) -> int:
     """Settlement price in base units, per the dual-feed decision rule."""
-    _check_fresh(primary, cfg, now)
-    _check_fresh(secondary, cfg, now)
+    max_age = cfg.max_age
+    _check_fresh(primary, max_age, now)
+    _check_fresh(secondary, max_age, now)
 
     p1, p2 = primary.price, secondary.price
     diff = abs(p1 - p2)

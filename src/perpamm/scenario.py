@@ -24,12 +24,9 @@ The receipts are the one ledger of the accounts' money: an account's balance
 is the sum of its rows' `cash_delta`.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from itertools import groupby, pairwise, starmap
 from operator import attrgetter, le
 from typing import NamedTuple
@@ -88,8 +85,7 @@ class Action(NamedTuple):
     params: dict
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     market_config: str
     price_trace: str
     actions: list[Action]
@@ -165,8 +161,7 @@ SNAPSHOT_HEADER = list(SnapshotRow._fields)
 RECEIPT_HEADER = list(ReceiptRow._fields)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """A run's rows, its final engine, and whether an InsolventVault halted it.
     The receipts are the run's only ledger of the accounts' money: an account's
     balance is the sum of its rows' `cash_delta`, from 0 at the start."""

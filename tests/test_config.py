@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -41,7 +40,7 @@ def test_load_good_config(tmp_path):
     assert config.max_leverage == to_units(10)
     assert config.open_close_fee_rate == to_units("0.1")
     assert config.oracle.max_age == 60
-    assert replace(config) == config   # rebuilding it checks its limits again
+    assert config._replace() == config   # rebuilding it checks its limits again
 
 
 def test_unknown_key_rejected(tmp_path):

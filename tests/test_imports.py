@@ -172,13 +172,15 @@ def test_every_text_file_is_opened_as_utf8(path):
 
 # Only a replay's manifest hashes its inputs, and `write_outputs` imports
 # hashlib itself: its OpenSSL costs about 3.6 MB of resident memory, which a
-# `perpamm curves` process never pays.
+# `perpamm curves` process never pays. Every record is a NamedTuple, so no
+# process imports `dataclasses`, which would import `inspect` (and with it
+# `ast`, `dis` and `tokenize`) at every start.
 CURVES_WITHOUT_HASHLIB = """\
 import sys
 from perpamm.cli import main
 code = main(["curves", "--kind", "base_fee", "--kb", "0.0325", "--cb", "0",
              "--grid", "0:100:1", "--out", sys.argv[1]])
-print(code, sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+print(code, sorted({"hashlib", "_hashlib", "dataclasses", "inspect"} & set(sys.modules)))
 """
 
 

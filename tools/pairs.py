@@ -11,10 +11,13 @@ invocation of each tree; which tree runs first alternates from pair to pair.
 
 Printed: each pair's phase times in ms (``setup`` = spawn to ready, ``work``
 = ready to written, ``wall`` = spawn to written), the ratio base/change of
-each phase (above 1 means the change is faster), the median of the paired
-ratios, each tree's minima, and the sha256 of every output of each tree,
-which must agree. Standard library only; nothing under ``perfbench/`` is
-written, the work directory is a temporary one.
+each phase (above 1 means the change is faster), and per phase the median
+of the paired ratios, the pairs the change won, each tree's median and
+quartiles, and the gap between the medians next to the spread of the base's
+quartiles: a gain is claimed only when the change wins at least nine pairs
+in ten and that gap exceeds that spread. Last, the sha256 of every output
+of each tree, which must agree. Standard library only; nothing under
+``perfbench/`` is written, the work directory is a temporary one.
 """
 
 from __future__ import annotations
@@ -100,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, to give quartiles")
     trees = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
     with tempfile.TemporaryDirectory(prefix="pairs-") as work:
         job = make_job(args.workload, args.seed, work)
@@ -118,10 +123,15 @@ def main(argv: list[str] | None = None) -> int:
     for phase in PHASES:
         ratios = [ratios[phase] for _, ratios in pairs]
         wins = sum(r > 1 for r in ratios)
-        minima = {name: min(pair[name][phase] for pair, _ in pairs) for name in trees}
+        # (lower quartile, median, upper quartile) of each tree's times
+        quartiles = {name: statistics.quantiles([pair[name][phase] for pair, _ in pairs],
+                                                n=4, method="inclusive") for name in trees}
+        sides = " -> ".join(f"{name} {q[1]:.1f} [{q[0]:.1f}, {q[2]:.1f}]"
+                            for name, q in quartiles.items())
+        base, change = quartiles["base"], quartiles["change"]
         print(f"{phase:5s}: median ratio {statistics.median(ratios):.3f}x, change faster in "
-              f"{wins}/{len(ratios)}; minima {minima['base']:.1f} -> {minima['change']:.1f} ms "
-              f"({minima['base'] / minima['change']:.3f}x)")
+              f"{wins}/{len(ratios)}; median [quartiles] {sides} ms; median gap "
+              f"{base[1] - change[1]:.1f} ms, base quartile spread {base[2] - base[0]:.1f} ms")
     rss = {name: statistics.median(pair[name]["rss_mb"] for pair, _ in pairs) for name in trees}
     print(f"ru_maxrss median: {rss['base']:.1f} -> {rss['change']:.1f} MB")
     hashes = {name: pairs[0][0][name]["hashes"] for name in trees}
